@@ -1,7 +1,7 @@
 """Ablations of EIE's design choices (beyond the paper's published figures).
 
-DESIGN.md calls out three decisions whose sensitivity is worth quantifying on
-the full-size benchmarks, each a registered experiment of
+EIE fixes three encoding/architecture decisions whose sensitivity is worth
+quantifying on the full-size benchmarks, each a registered experiment of
 :mod:`repro.experiments`:
 
 * ``ablation_index_width`` — the 4-bit relative index (padding zeros versus
@@ -27,14 +27,14 @@ def test_ablation_index_width(benchmark, runner, results_dir):
         iterations=1,
     )
     write_result(results_dir, result)
-    points = result.legacy()
+    records = result.records
 
-    by_bits = {point.index_bits: point for point in points}
-    paddings = [point.padding_zeros for point in points]
+    by_bits = {record["index_bits"]: record for record in records}
+    paddings = [record["padding_zeros"] for record in records]
     assert all(b <= a for a, b in zip(paddings, paddings[1:]))
     # The paper's 4-bit choice is on the storage-optimal plateau.
-    best_bits = min(by_bits, key=lambda bits: by_bits[bits].storage_bits)
-    assert by_bits[4].storage_bits <= 1.05 * by_bits[best_bits].storage_bits
+    best_bits = min(by_bits, key=lambda bits: by_bits[bits]["storage_bits"])
+    assert by_bits[4]["storage_bits"] <= 1.05 * by_bits[best_bits]["storage_bits"]
 
 
 def test_ablation_codebook_bits(benchmark, runner, results_dir):
@@ -47,14 +47,14 @@ def test_ablation_codebook_bits(benchmark, runner, results_dir):
         iterations=1,
     )
     write_result(results_dir, result)
-    points = result.legacy()
+    records = result.records
 
-    errors = [point.rms_error for point in points]
+    errors = [record["rms_error"] for record in records]
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
-    by_bits = {point.weight_bits: point for point in points}
+    by_bits = {record["weight_bits"]: record for record in records}
     # Each extra bit roughly halves the error; 4 bits is already ~10% relative.
-    assert by_bits[4].relative_rms_error < 0.2
-    assert by_bits[2].rms_error > 2.0 * by_bits[4].rms_error
+    assert by_bits[4]["relative_rms_error"] < 0.2
+    assert by_bits[2]["rms_error"] > 2.0 * by_bits[4]["rms_error"]
 
 
 def test_ablation_partitioning(benchmark, runner, results_dir):

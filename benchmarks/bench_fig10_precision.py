@@ -22,14 +22,14 @@ def test_fig10_arithmetic_precision(benchmark, runner, results_dir):
         iterations=1,
     )
     write_result(results_dir, result)
-    by_precision = {point.precision: point for point in result.legacy()}
+    by_precision = {record["precision"]: record for record in result.records}
 
     float32 = by_precision["float32"]
     int16 = by_precision["int16"]
     int8 = by_precision["int8"]
     # Accuracy: 16-bit is nearly lossless, 8-bit degrades substantially.
-    assert float32.accuracy - int16.accuracy < 0.03
-    assert int8.accuracy < int16.accuracy - 0.05
+    assert float32["accuracy"] - int16["accuracy"] < 0.03
+    assert int8["accuracy"] < int16["accuracy"] - 0.05
     # Energy: the ratios quoted in the paper (5x vs int32, ~6.2x vs float32).
-    assert by_precision["int32"].multiply_energy_pj / int16.multiply_energy_pj > 4.5
-    assert float32.multiply_energy_pj / int16.multiply_energy_pj > 5.5
+    assert by_precision["int32"]["multiply_energy_pj"] / int16["multiply_energy_pj"] > 4.5
+    assert float32["multiply_energy_pj"] / int16["multiply_energy_pj"] > 5.5

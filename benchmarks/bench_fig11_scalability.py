@@ -11,6 +11,7 @@ per PE count, preparations shared through the runner's session).
 
 from __future__ import annotations
 
+from repro.analysis.report import record_series
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 from benchmarks.conftest import write_result
@@ -22,19 +23,15 @@ def test_fig11_scalability(benchmark, runner, results_dir):
         runner.run, args=("fig11_scalability",), rounds=1, iterations=1
     )
     write_result(results_dir, result)
-    sweep = result.legacy()
+    speedups = record_series(result.records, "num_pes", "speedup_vs_1pe")
 
     for name in BENCHMARK_NAMES:
-        speedups = {point.num_pes: point.speedup_vs_1pe for point in sweep[name]}
         # Speedup grows with PE count everywhere.
-        ordered = [speedups[n] for n in sorted(speedups)]
+        ordered = [speedups[name][n] for n in sorted(speedups[name])]
         assert all(b >= a - 1e-9 for a, b in zip(ordered, ordered[1:]))
     # Large layers scale nearly linearly to 64 PEs (>= ~60% efficiency).
     for name in ("Alex-6", "Alex-7", "VGG-6", "NT-Wd"):
-        speedups = {point.num_pes: point.speedup_vs_1pe for point in sweep[name]}
-        assert speedups[64] > 0.6 * 64
+        assert speedups[name][64] > 0.6 * 64
     # NT-We saturates: its speedup at 256 PEs is far below linear.
-    nt_we = {point.num_pes: point.speedup_vs_1pe for point in sweep["NT-We"]}
-    assert nt_we[256] < 0.5 * 256
-    alex7 = {point.num_pes: point.speedup_vs_1pe for point in sweep["Alex-7"]}
-    assert nt_we[256] < alex7[256]
+    assert speedups["NT-We"][256] < 0.5 * 256
+    assert speedups["NT-We"][256] < speedups["Alex-7"][256]

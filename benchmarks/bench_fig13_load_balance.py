@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.report import record_series
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 from benchmarks.conftest import write_result
@@ -22,14 +23,14 @@ def test_fig13_load_balance_vs_pes(benchmark, runner, results_dir):
         runner.run, args=("fig13_load_balance",), rounds=1, iterations=1
     )
     write_result(results_dir, result)
-    series = result.legacy()
+    balance = record_series(result.records, "num_pes", "load_balance_efficiency")
 
     for name in BENCHMARK_NAMES:
-        efficiencies = series[name]
+        efficiencies = balance[name]
         # A single PE is perfectly balanced by definition.
         assert efficiencies[1] == pytest.approx(1.0, abs=0.01)
         # Load balance at 256 PEs is worse than at 1 PE for every benchmark.
         assert efficiencies[256] < efficiencies[1]
         assert 0.0 < efficiencies[256] <= 1.0
     # NT-We (600 rows) suffers the most at high PE counts.
-    assert series["NT-We"][256] == min(series[name][256] for name in BENCHMARK_NAMES)
+    assert balance["NT-We"][256] == min(balance[name][256] for name in BENCHMARK_NAMES)

@@ -9,18 +9,19 @@ of cycles are idle at depth 1, and the marginal gain beyond depth 8 is small
 
 from __future__ import annotations
 
+from repro.analysis.report import record_series
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 from benchmarks.conftest import write_result
 
 
-def test_fig8_fifo_depth_sweep(benchmark, runner, results_dir):
+def test_fig8_fifo_depth(benchmark, runner, results_dir):
     """Regenerate Figure 8."""
     result = benchmark.pedantic(
         runner.run, args=("fig8_fifo_depth",), rounds=1, iterations=1
     )
     write_result(results_dir, result)
-    sweep = result.legacy()
+    sweep = record_series(result.records, "fifo_depth", "load_balance_efficiency")
 
     for name in BENCHMARK_NAMES:
         per_depth = sweep[name]

@@ -27,19 +27,19 @@ def test_fig9_sram_width_sweep(benchmark, runner, results_dir):
         iterations=1,
     )
     write_result(results_dir, result)
-    points = result.legacy()
+    records = result.records
 
     combined: dict[int, float] = defaultdict(float)
-    for point in points:
-        combined[point.width_bits] += point.total_energy_nj
+    for record in records:
+        combined[record["width_bits"]] += record["total_energy_nj"]
 
     # Reads fall monotonically and energy per read rises monotonically with width.
     for layer in ALEXNET_LAYERS:
-        layer_points = sorted(
-            (p for p in points if p.benchmark == layer), key=lambda p: p.width_bits
+        layer_records = sorted(
+            (r for r in records if r["benchmark"] == layer), key=lambda r: r["width_bits"]
         )
-        reads = [p.num_reads for p in layer_points]
-        energies = [p.energy_per_read_pj for p in layer_points]
+        reads = [r["num_reads"] for r in layer_records]
+        energies = [r["energy_per_read_pj"] for r in layer_records]
         assert all(b <= a for a, b in zip(reads, reads[1:]))
         assert all(b > a for a, b in zip(energies, energies[1:]))
     # The total-energy optimum is the 64-bit interface the paper selects.

@@ -9,7 +9,8 @@ benchmark layers — is shared across all modules through a session-scoped
 one engine session), and every benchmark writes the result it regenerates to
 ``results/<experiment>.txt`` **and** ``results/<experiment>.json`` through
 :meth:`~repro.experiments.result.ExperimentResult.write` so they can be
-compared against the paper (see EXPERIMENTS.md).
+compared against the paper's published values in
+:mod:`repro.baselines.reference`.
 """
 
 from __future__ import annotations
@@ -57,3 +58,4 @@ def write_result(
     """Write one result to ``results/<experiment>.{txt,json}`` and echo it."""
     txt_path, _ = result.write(results_dir, extra=extra)
     print(f"\n===== {result.experiment} =====\n{txt_path.read_text()}")
+

@@ -1,68 +1,18 @@
-"""Analysis layer: regenerates every table and figure of the evaluation.
+"""Analysis layer: the per-point primitives behind the paper's evaluation.
 
-Each module corresponds to one or more experiments:
+Every table, figure and ablation is a registered experiment of
+:mod:`repro.experiments` (see :mod:`repro.experiments.catalog`); its
+``ExperimentResult.records`` are the one result shape.  The modules here hold
+the primitives those experiments call for each grid point:
 
-* :mod:`repro.analysis.speedup` — Figure 6 (speedup over CPU dense).
-* :mod:`repro.analysis.energy_efficiency` — Figure 7 (energy efficiency).
-* :mod:`repro.analysis.design_space` — Figures 8 (FIFO depth), 9 (SRAM
-  width) and 10 (arithmetic precision).
-* :mod:`repro.analysis.scalability` — Figures 11 (speedup vs #PEs), 12
-  (padding-zero overhead) and 13 (load balance vs #PEs).
-* :mod:`repro.analysis.tables` — Tables I-V.
+* :mod:`repro.analysis.speedup` — per-frame times of the seven Figure 6
+  configurations (``layer_times``).
+* :mod:`repro.analysis.energy_efficiency` — per-frame energies of the same
+  configurations for Figure 7 (``layer_energies``).
+* :mod:`repro.analysis.design_space` — the Figure 10 precision proxy.
+* :mod:`repro.analysis.ablation` — the codebook-size ablation's weight
+  population and per-size fit.
+* :mod:`repro.analysis.tables` — Tables I-V row builders.
 * :mod:`repro.analysis.report` — plain-text rendering helpers used by the
-  benchmark harness and the examples.
+  renderers, the benchmark harness and the examples.
 """
-
-from repro.analysis.ablation import (
-    CodebookBitsPoint,
-    IndexWidthPoint,
-    codebook_bits_ablation,
-    index_width_ablation,
-    partitioning_ablation,
-)
-from repro.analysis.design_space import (
-    PrecisionPoint,
-    SramWidthPoint,
-    fifo_depth_sweep,
-    precision_study,
-    sram_width_sweep,
-)
-from repro.analysis.energy_efficiency import energy_efficiency_table, layer_energies
-from repro.analysis.report import format_table, geometric_mean, render_series
-from repro.analysis.scalability import ScalabilityPoint, pe_sweep
-from repro.analysis.speedup import SPEEDUP_CONFIGS, layer_times, speedup_table
-from repro.analysis.tables import (
-    table1_rows,
-    table2_rows,
-    table3_rows,
-    table4_rows,
-    table5_rows,
-)
-
-__all__ = [
-    "CodebookBitsPoint",
-    "IndexWidthPoint",
-    "PrecisionPoint",
-    "SPEEDUP_CONFIGS",
-    "ScalabilityPoint",
-    "SramWidthPoint",
-    "codebook_bits_ablation",
-    "index_width_ablation",
-    "partitioning_ablation",
-    "energy_efficiency_table",
-    "fifo_depth_sweep",
-    "format_table",
-    "geometric_mean",
-    "layer_energies",
-    "layer_times",
-    "pe_sweep",
-    "precision_study",
-    "render_series",
-    "speedup_table",
-    "sram_width_sweep",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-    "table4_rows",
-    "table5_rows",
-]

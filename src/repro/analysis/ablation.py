@@ -1,122 +1,29 @@
-"""Ablations of EIE's design choices beyond the sweeps in the paper's figures.
+"""Primitives of the ``ablation_codebook_bits`` experiment.
 
-DESIGN.md calls out three encoding/architecture decisions whose sensitivity
-is worth quantifying:
-
-* the 4-bit **relative-index width** (which trades index storage against
-  padding zeros when zero runs exceed ``2**bits - 1``);
-* the 4-bit **weight-sharing codebook** (which trades weight storage against
-  reconstruction error);
-* the **row-interleaved workload partitioning** versus the column and 2-D
-  alternatives discussed in Section VII-A.
-
-Each ablation returns plain dataclasses so the benchmark harness can print
-them and assert the direction of the trade-off.
+The paper fixes a 4-bit (16-entry) shared-weight codebook; the ablation
+quantifies the reconstruction error of smaller and larger codebooks on a
+Gaussian weight population.  The other two design-choice ablations
+(``ablation_index_width`` and ``ablation_partitioning``) are defined entirely
+in :mod:`repro.experiments.catalog`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.compression.quantization import WeightCodebook
-from repro.core.partitioning import PartitioningResult, compare_strategies
 from repro.utils.rng import make_rng
-from repro.workloads.benchmarks import LayerSpec, resolve_spec
-from repro.workloads.generator import WorkloadBuilder
 
-__all__ = [
-    "IndexWidthPoint",
-    "index_width_ablation",
-    "CodebookBitsPoint",
-    "codebook_bits_ablation",
-    "codebook_bits_point",
-    "codebook_population",
-    "partitioning_ablation",
-]
-
-
-@dataclass(frozen=True)
-class IndexWidthPoint:
-    """Storage consequences of one relative-index width for one layer."""
-
-    benchmark: str
-    index_bits: int
-    true_nonzeros: int
-    padding_zeros: int
-    storage_bits: int
-
-    @property
-    def padding_fraction(self) -> float:
-        """Padding zeros / stored entries."""
-        total = self.true_nonzeros + self.padding_zeros
-        return self.padding_zeros / total if total else 0.0
-
-    @property
-    def bits_per_nonzero(self) -> float:
-        """Stored bits per genuine non-zero weight (storage efficiency)."""
-        if self.true_nonzeros == 0:
-            return 0.0
-        return self.storage_bits / self.true_nonzeros
-
-
-def index_width_ablation(
-    benchmark: "str | LayerSpec",
-    index_bits_options: Sequence[int] = (2, 3, 4, 5, 6, 8),
-    num_pes: int = 64,
-    builder: WorkloadBuilder | None = None,
-    weight_bits: int = 4,
-    pointer_bits: int = 16,
-) -> list[IndexWidthPoint]:
-    """How the relative-index width trades padding zeros against index storage.
-
-    Narrow indices (2-3 bits) force many padding zeros on sparse layers; wide
-    indices (6-8 bits) make every entry more expensive.  The paper's 4 bits
-    is the sweet spot for ~10%-dense matrices interleaved over 64 PEs.
-
-    Back-compat shim over the ``"ablation_index_width"`` experiment of
-    :mod:`repro.experiments`.
-    """
-    from repro.experiments import run_experiment
-
-    result = run_experiment(
-        "ablation_index_width",
-        builder=builder,
-        workloads=(resolve_spec(benchmark),),
-        grid={"index_bits": tuple(int(bits) for bits in index_bits_options)},
-        config={"num_pes": int(num_pes)},
-        params={"weight_bits": int(weight_bits), "pointer_bits": int(pointer_bits)},
-    )
-    return result.legacy()
-
-
-@dataclass(frozen=True)
-class CodebookBitsPoint:
-    """Accuracy/storage consequences of one codebook size."""
-
-    weight_bits: int
-    codebook_entries: int
-    rms_error: float
-    relative_rms_error: float
-    weight_storage_bits_per_nonzero: float
+__all__ = ["codebook_bits_point", "codebook_population"]
 
 
 def codebook_population(num_weights: int, seed: int) -> tuple[np.ndarray, float]:
     """The Gaussian weight population the codebook ablation quantizes.
 
     Returns the non-zero weights and the normalisation scale (their standard
-    deviation); shared by the legacy function and the
-    ``"ablation_codebook_bits"`` experiment.
+    deviation).
     """
-    rng = make_rng(seed)
-    weights = rng.normal(0.0, 0.05, size=num_weights)
-    return _nonzero_weights_and_scale(weights)
-
-
-def _nonzero_weights_and_scale(weights: np.ndarray) -> tuple[np.ndarray, float]:
-    weights = np.asarray(weights, dtype=np.float64).ravel()
+    weights = make_rng(seed).normal(0.0, 0.05, size=num_weights)
     weights = weights[weights != 0.0]
     scale = float(np.std(weights)) or 1.0
     return weights, scale
@@ -124,61 +31,14 @@ def _nonzero_weights_and_scale(weights: np.ndarray) -> tuple[np.ndarray, float]:
 
 def codebook_bits_point(
     nonzero_weights: np.ndarray, scale: float, bits: int, seed: int
-) -> CodebookBitsPoint:
+) -> dict:
     """Fit one codebook size and measure its reconstruction error."""
     codebook = WeightCodebook.fit(nonzero_weights, index_bits=int(bits), rng=make_rng(seed))
     error = codebook.quantization_error(nonzero_weights)
-    return CodebookBitsPoint(
-        weight_bits=int(bits),
-        codebook_entries=codebook.size,
-        rms_error=error,
-        relative_rms_error=error / scale,
-        weight_storage_bits_per_nonzero=float(bits),
-    )
-
-
-def codebook_bits_ablation(
-    weights: np.ndarray | None = None,
-    weight_bits_options: Sequence[int] = (2, 3, 4, 5, 6, 8),
-    num_weights: int = 20_000,
-    seed: int = 0,
-) -> list[CodebookBitsPoint]:
-    """How the shared-weight codebook size trades error against storage.
-
-    The paper fixes 4 bits (16 entries); this ablation quantifies the
-    reconstruction error of smaller and larger codebooks on a Gaussian weight
-    population (or on user-provided weights).
-
-    The default (generated) population delegates to the
-    ``"ablation_codebook_bits"`` experiment of :mod:`repro.experiments`;
-    explicit ``weights`` (which a JSON spec cannot carry) run the same
-    per-point primitive directly.
-    """
-    if weights is None:
-        from repro.experiments import run_experiment
-
-        result = run_experiment(
-            "ablation_codebook_bits",
-            grid={"weight_bits": tuple(int(bits) for bits in weight_bits_options)},
-            params={"num_weights": int(num_weights)},
-            seed=int(seed),
-        )
-        return result.legacy()
-    nonzero, scale = _nonzero_weights_and_scale(weights)
-    return [
-        codebook_bits_point(nonzero, scale, int(bits), seed) for bits in weight_bits_options
-    ]
-
-
-def partitioning_ablation(
-    benchmark: "str | LayerSpec",
-    num_pes: int = 64,
-    builder: WorkloadBuilder | None = None,
-    fifo_depth: int = 8,
-) -> dict[str, PartitioningResult]:
-    """Section VII-A ablation: compare the three workload-partitioning schemes."""
-    builder = builder or WorkloadBuilder()
-    spec = resolve_spec(benchmark)
-    pattern = builder.pattern(spec)
-    activations = builder.activations(spec)
-    return compare_strategies(pattern, activations, num_pes, fifo_depth=fifo_depth)
+    return {
+        "weight_bits": int(bits),
+        "codebook_entries": codebook.size,
+        "rms_error": error,
+        "relative_rms_error": error / scale,
+        "weight_storage_bits_per_nonzero": float(bits),
+    }

@@ -1,123 +1,24 @@
-"""Design-space exploration: Figures 8, 9 and 10.
+"""Figure 10 primitives: the arithmetic-precision accuracy proxy.
 
-* :func:`fifo_depth_sweep` — load-balance efficiency versus activation queue
-  depth (Figure 8).  Diminishing returns beyond a depth of 8.
-* :func:`sram_width_sweep` — number of Spmat SRAM reads, energy per read and
-  total read energy versus interface width (Figure 9).  64 bits minimises the
-  total energy.
-* :func:`precision_study` — prediction-accuracy proxy and multiplier energy
-  versus arithmetic precision (Figure 10).  16-bit fixed point is within a
-  fraction of a percent of float while 8-bit collapses.
+Because ImageNet is not available offline, the ``fig10_precision`` experiment
+models accuracy as the float32 reference accuracy multiplied by the fraction
+of inputs whose arg-max prediction is unchanged under quantisation (a
+standard proxy for quantisation-induced accuracy loss).  This module holds
+the proxy classifier and its quantised forward pass.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn.fixed_point import FixedPointFormat
 from repro.nn.layers import FullyConnectedLayer
 from repro.nn.model import FeedForwardNetwork
-from repro.workloads.benchmarks import BENCHMARK_NAMES, LayerSpec, resolve_spec
-from repro.workloads.generator import WorkloadBuilder
 
-__all__ = [
-    "fifo_depth_sweep",
-    "SramWidthPoint",
-    "sram_width_sweep",
-    "PrecisionPoint",
-    "precision_study",
-    "DEFAULT_FIFO_DEPTHS",
-    "DEFAULT_SRAM_WIDTHS",
-]
+__all__ = ["FLOAT32_REFERENCE_ACCURACY"]
 
-#: FIFO depths swept in Figure 8.
-DEFAULT_FIFO_DEPTHS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-#: SRAM interface widths swept in Figure 9.
-DEFAULT_SRAM_WIDTHS: tuple[int, ...] = (32, 64, 128, 256, 512)
 #: Baseline ImageNet top-1-style accuracy of the float32 model (Figure 10).
 FLOAT32_REFERENCE_ACCURACY = 0.803
-
-
-def fifo_depth_sweep(
-    depths: Sequence[int] = DEFAULT_FIFO_DEPTHS,
-    benchmarks: "Iterable[str | LayerSpec]" = BENCHMARK_NAMES,
-    num_pes: int = 64,
-    builder: WorkloadBuilder | None = None,
-    clock_mhz: float = 800.0,
-) -> dict[str, dict[int, float]]:
-    """Figure 8: load-balance efficiency per benchmark and FIFO depth.
-
-    Back-compat shim over the ``"fig8_fifo_depth"`` experiment of
-    :mod:`repro.experiments`: each benchmark's workload is prepared once in
-    the run's session and shared by every depth point (the prepared work
-    matrices depend only on the PE count).
-    """
-    from repro.experiments import run_experiment
-
-    result = run_experiment(
-        "fig8_fifo_depth",
-        builder=builder,
-        workloads=[resolve_spec(benchmark) for benchmark in benchmarks],
-        grid={"fifo_depth": tuple(int(depth) for depth in depths)},
-        config={"num_pes": int(num_pes), "clock_mhz": float(clock_mhz)},
-    )
-    return result.legacy()
-
-
-@dataclass(frozen=True)
-class SramWidthPoint:
-    """One point of the Figure 9 sweep for one benchmark."""
-
-    benchmark: str
-    width_bits: int
-    num_reads: int
-    energy_per_read_pj: float
-
-    @property
-    def total_energy_nj(self) -> float:
-        """Total Spmat read energy for one inference, in nanojoules."""
-        return self.num_reads * self.energy_per_read_pj / 1e3
-
-
-def sram_width_sweep(
-    widths: Sequence[int] = DEFAULT_SRAM_WIDTHS,
-    benchmarks: "Iterable[str | LayerSpec]" = BENCHMARK_NAMES,
-    num_pes: int = 64,
-    builder: WorkloadBuilder | None = None,
-    spmat_sram_kb: float = 128.0,
-    entry_bits: int = 8,
-) -> list[SramWidthPoint]:
-    """Figure 9: Spmat SRAM reads and read energy versus interface width.
-
-    The number of reads is counted per touched (PE, column) pair: a PE
-    streaming ``k`` encoded entries of a column needs ``ceil(k / (width /
-    entry_bits))`` reads, so wide interfaces waste reads on short columns —
-    the effect that makes 64 bits the optimum.
-    """
-    from repro.experiments import run_experiment
-
-    result = run_experiment(
-        "fig9_sram_width",
-        builder=builder,
-        workloads=[resolve_spec(benchmark) for benchmark in benchmarks],
-        grid={"width_bits": tuple(int(width) for width in widths)},
-        config={"num_pes": int(num_pes)},
-        params={"spmat_sram_kb": float(spmat_sram_kb), "entry_bits": int(entry_bits)},
-    )
-    return result.legacy()
-
-
-@dataclass(frozen=True)
-class PrecisionPoint:
-    """One bar pair of Figure 10: accuracy proxy and multiply energy."""
-
-    precision: str
-    accuracy: float
-    multiply_energy_pj: float
-    agreement_with_float: float
 
 
 def _build_proxy_classifier(
@@ -152,37 +53,3 @@ def _quantized_forward(
         else:
             current = pre
     return current
-
-
-def precision_study(
-    precisions: Sequence[str] = ("float32", "int32", "int16", "int8"),
-    num_samples: int = 256,
-    input_size: int = 128,
-    hidden_size: int = 96,
-    classes: int = 64,
-    seed: int = 42,
-    reference_accuracy: float = FLOAT32_REFERENCE_ACCURACY,
-) -> list[PrecisionPoint]:
-    """Figure 10: accuracy proxy and multiplier energy per arithmetic precision.
-
-    Because ImageNet is not available offline, accuracy is modelled as the
-    float32 reference accuracy multiplied by the fraction of inputs whose
-    arg-max prediction is unchanged under quantisation (a standard proxy for
-    quantisation-induced accuracy loss).  The multiply energies come from the
-    Table I-derived figures quoted in the paper.
-    """
-    from repro.experiments import run_experiment
-
-    result = run_experiment(
-        "fig10_precision",
-        grid={"precision": tuple(str(precision) for precision in precisions)},
-        params={
-            "num_samples": int(num_samples),
-            "input_size": int(input_size),
-            "hidden_size": int(hidden_size),
-            "classes": int(classes),
-            "reference_accuracy": float(reference_accuracy),
-        },
-        seed=int(seed),
-    )
-    return result.legacy()

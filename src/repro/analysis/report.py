@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 
-__all__ = ["geometric_mean", "format_table", "render_series", "format_number"]
+__all__ = ["geometric_mean", "format_table", "render_series", "format_number", "record_series"]
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -53,6 +53,20 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     lines.append("  ".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in rendered_rows)
     return "\n".join(lines)
+
+
+def record_series(
+    records: Iterable[Mapping[str, object]], x_key: str, y_key: str
+) -> dict[object, dict[object, object]]:
+    """Group experiment records into ``{benchmark: {x: y}}``, in record order.
+
+    The shape :func:`render_series` renders: one series per benchmark, one
+    point per record.
+    """
+    series: dict[object, dict[object, object]] = {}
+    for record in records:
+        series.setdefault(record["benchmark"], {})[record[x_key]] = record[y_key]
+    return series
 
 
 def render_series(series: Mapping[str, Mapping[object, float]], x_label: str = "x") -> str:

@@ -7,7 +7,7 @@ DaDianNao and TrueNorth.  We cannot measure that hardware here, so each
 platform is an analytic roofline model (effective compute throughput plus
 effective memory bandwidth, separately for dense and sparse kernels)
 calibrated against the paper's Table IV, which reproduces who wins, by what
-factor, and the batching/sparsity crossovers (see DESIGN.md 'Substitutions').
+factor, and the batching/sparsity crossovers.
 """
 
 from repro.baselines.platforms import (

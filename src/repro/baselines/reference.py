@@ -3,8 +3,9 @@
 These dictionaries record the numbers the paper reports (Table IV wall-clock
 times, Figure 6/7 geometric-mean speedups and energy efficiencies).  They are
 *not* used by the models — they are the ground truth the benchmark harness
-compares our regenerated numbers against in EXPERIMENTS.md and in the
-shape-checking tests.
+(``benchmarks/bench_fig6_speedup.py``, ``bench_fig7_energy.py``,
+``bench_table4_wallclock.py``) and ``tests/test_baselines.py`` compare our
+regenerated numbers against.
 """
 
 from __future__ import annotations

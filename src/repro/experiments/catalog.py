@@ -2,12 +2,13 @@
 
 Each entry point of the paper's evaluation (Figures 6-13, Tables I-V, and
 the three design-choice ablations) is registered here as a named declarative
-experiment.  The point functions reuse the analysis layer's per-point
-primitives (``layer_times``, ``layer_energies``, the table row builders,
-``compare_strategies``, ...), the renderers reproduce the legacy CLI output
-byte for byte, and ``to_legacy`` reshapes the uniform records back into the
-legacy analysis functions' return types — those functions are now thin
-shims over this catalog.
+experiment, and this is the one place each is defined.  The point functions
+reuse the analysis layer's per-point primitives (``layer_times``,
+``layer_energies``, the table row builders, ``compare_strategies``, ...) and
+the renderers print the paper-table text of the CLI's ``table`` / ``figure``
+/ ``ablation`` commands.  Consumers read ``ExperimentResult.records``, one
+flat dictionary per grid point (or per table row), which is the only result
+shape.
 
 Experiment names double as the ``results/<name>.{txt,json}`` file stems used
 by the benchmark harness.
@@ -19,13 +20,13 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.analysis.design_space import (
-    DEFAULT_FIFO_DEPTHS,
-    DEFAULT_SRAM_WIDTHS,
-    FLOAT32_REFERENCE_ACCURACY,
+from repro.analysis.design_space import FLOAT32_REFERENCE_ACCURACY
+from repro.analysis.report import (
+    format_table,
+    geometric_mean,
+    record_series,
+    render_series,
 )
-from repro.analysis.report import format_table, geometric_mean, render_series
-from repro.analysis.scalability import DEFAULT_PE_COUNTS
 from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
@@ -43,12 +44,8 @@ from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 __all__ = ["BUILTIN_EXPERIMENTS"]
 
-_SPEEDUP_CONFIGS = SPEEDUP_CONFIGS
-_GEOMEAN_KEY = GEOMEAN_KEY
-# The paper's sweep ranges, shared with the back-compat shims' defaults.
-_FIFO_DEPTHS = DEFAULT_FIFO_DEPTHS
-_SRAM_WIDTHS = DEFAULT_SRAM_WIDTHS
-_PE_COUNTS = DEFAULT_PE_COUNTS
+#: PE counts swept in Figures 11-13.
+DEFAULT_PE_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 def _workload_names(result: ExperimentResult) -> list[str]:
@@ -81,7 +78,7 @@ def _fig6_point(ctx: ExperimentContext, point: dict) -> dict:
         batch=int(ctx.params["batch"]),
     )
     baseline = times["CPU Dense"]
-    return {name: baseline / times[name] for name in _SPEEDUP_CONFIGS}
+    return {name: baseline / times[name] for name in SPEEDUP_CONFIGS}
 
 
 def _fig7_point(ctx: ExperimentContext, point: dict) -> dict:
@@ -94,27 +91,22 @@ def _fig7_point(ctx: ExperimentContext, point: dict) -> dict:
         batch=int(ctx.params["batch"]),
     )
     baseline = energies["CPU Dense"]
-    return {name: baseline / energies[name] for name in _SPEEDUP_CONFIGS}
+    return {name: baseline / energies[name] for name in SPEEDUP_CONFIGS}
 
 
 def _geomean_finalize(ctx: ExperimentContext, records: list[dict]) -> list[dict]:
     geomean = {
         name: geometric_mean([record[name] for record in records])
-        for name in _SPEEDUP_CONFIGS
+        for name in SPEEDUP_CONFIGS
     }
-    return records + [{"benchmark": _GEOMEAN_KEY, **geomean}]
-
-
-def _speedup_table_view(result: ExperimentResult) -> dict[str, dict[str, float]]:
-    return {
-        record["benchmark"]: {name: record[name] for name in _SPEEDUP_CONFIGS}
-        for record in result.records
-    }
+    return records + [{"benchmark": GEOMEAN_KEY, **geomean}]
 
 
 def _render_speedup_like(result: ExperimentResult, title: str) -> str:
-    table = _speedup_table_view(result)
-    series = {cfg: {b: table[b][cfg] for b in table} for cfg in _SPEEDUP_CONFIGS}
+    series = {
+        cfg: {record["benchmark"]: record[cfg] for record in result.records}
+        for cfg in SPEEDUP_CONFIGS
+    }
     return title + "\n" + render_series(series, "Benchmark")
 
 
@@ -131,18 +123,9 @@ def _fig8_point(ctx: ExperimentContext, point: dict) -> dict:
     return {"fifo_depth": depth, "load_balance_efficiency": stats.load_balance_efficiency}
 
 
-def _fig8_legacy(result: ExperimentResult) -> dict[str, dict[int, float]]:
-    sweep: dict[str, dict[int, float]] = {}
-    for record in result.records:
-        sweep.setdefault(record["benchmark"], {})[record["fifo_depth"]] = record[
-            "load_balance_efficiency"
-        ]
-    return sweep
-
-
 def _render_fig8(result: ExperimentResult) -> str:
     return "Load-balance efficiency vs FIFO depth:\n" + render_series(
-        _fig8_legacy(result), "FIFO depth"
+        record_series(result.records, "fifo_depth", "load_balance_efficiency"), "FIFO depth"
     )
 
 
@@ -165,20 +148,6 @@ def _fig9_point(ctx: ExperimentContext, point: dict) -> dict:
         "energy_per_read_pj": energy,
         "total_energy_nj": reads * energy / 1e3,
     }
-
-
-def _fig9_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.design_space import SramWidthPoint
-
-    return [
-        SramWidthPoint(
-            benchmark=record["benchmark"],
-            width_bits=record["width_bits"],
-            num_reads=record["num_reads"],
-            energy_per_read_pj=record["energy_per_read_pj"],
-        )
-        for record in result.records
-    ]
 
 
 def _render_fig9(result: ExperimentResult) -> str:
@@ -240,20 +209,6 @@ def _fig10_point(ctx: ExperimentContext, point: dict) -> dict:
     }
 
 
-def _fig10_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.design_space import PrecisionPoint
-
-    return [
-        PrecisionPoint(
-            precision=record["precision"],
-            accuracy=record["accuracy"],
-            multiply_energy_pj=record["multiply_energy_pj"],
-            agreement_with_float=record["agreement_with_float"],
-        )
-        for record in result.records
-    ]
-
-
 def _render_fig10(result: ExperimentResult) -> str:
     return "Arithmetic precision study:\n" + format_table(
         ["Precision", "Accuracy", "Agreement", "Multiply energy (pJ)"],
@@ -288,38 +243,23 @@ def _scalability_point(ctx: ExperimentContext, point: dict) -> dict:
 
 
 def _fig11_finalize(ctx: ExperimentContext, records: list[dict]) -> list[dict]:
-    baselines: dict[str, int] = {}
+    """Speedup of every point over its benchmark's smallest PE count."""
+    baselines: dict[str, dict] = {}
+    for record in records:
+        baseline = baselines.get(record["benchmark"])
+        if baseline is None or record["num_pes"] < baseline["num_pes"]:
+            baselines[record["benchmark"]] = record
     out = []
     for record in records:
-        baseline = baselines.setdefault(record["benchmark"], record["total_cycles"])
+        baseline = baselines[record["benchmark"]]["total_cycles"]
         cycles = record["total_cycles"]
         out.append({**record, "speedup_vs_1pe": baseline / cycles if cycles else 0.0})
     return out
 
 
-def _fig11_legacy(result: ExperimentResult) -> dict[str, list]:
-    from repro.analysis.scalability import ScalabilityPoint
-
-    sweep: dict[str, list] = {}
-    for record in result.records:
-        sweep.setdefault(record["benchmark"], []).append(
-            ScalabilityPoint(
-                benchmark=record["benchmark"],
-                num_pes=record["num_pes"],
-                total_cycles=record["total_cycles"],
-                speedup_vs_1pe=record["speedup_vs_1pe"],
-                load_balance_efficiency=record["load_balance_efficiency"],
-                real_work_fraction=record["real_work_fraction"],
-            )
-        )
-    return sweep
-
-
-def _series_view(result: ExperimentResult, x_key: str, y_key: str) -> dict:
-    series: dict[str, dict] = {}
-    for record in result.records:
-        series.setdefault(record["benchmark"], {})[record[x_key]] = record[y_key]
-    return series
+def _render_pe_series(result: ExperimentResult, title: str, y_key: str) -> str:
+    series = record_series(result.records, "num_pes", y_key)
+    return title + "\n" + render_series(series, "# PEs")
 
 
 def _fig12_point(ctx: ExperimentContext, point: dict) -> dict:
@@ -489,21 +429,6 @@ def _index_width_point(ctx: ExperimentContext, point: dict) -> dict:
     }
 
 
-def _index_width_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.ablation import IndexWidthPoint
-
-    return [
-        IndexWidthPoint(
-            benchmark=record["benchmark"],
-            index_bits=record["index_bits"],
-            true_nonzeros=record["true_nonzeros"],
-            padding_zeros=record["padding_zeros"],
-            storage_bits=record["storage_bits"],
-        )
-        for record in result.records
-    ]
-
-
 def _render_index_width(result: ExperimentResult) -> str:
     sections = []
     for name in _workload_names(result):
@@ -526,29 +451,7 @@ def _codebook_point(ctx: ExperimentContext, point: dict) -> dict:
         "codebook-population",
         lambda: codebook_population(int(ctx.params["num_weights"]), ctx.seed),
     )
-    legacy = codebook_bits_point(weights, scale, int(point["weight_bits"]), ctx.seed)
-    return {
-        "weight_bits": legacy.weight_bits,
-        "codebook_entries": legacy.codebook_entries,
-        "rms_error": legacy.rms_error,
-        "relative_rms_error": legacy.relative_rms_error,
-        "weight_storage_bits_per_nonzero": legacy.weight_storage_bits_per_nonzero,
-    }
-
-
-def _codebook_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.ablation import CodebookBitsPoint
-
-    return [
-        CodebookBitsPoint(
-            weight_bits=record["weight_bits"],
-            codebook_entries=record["codebook_entries"],
-            rms_error=record["rms_error"],
-            relative_rms_error=record["relative_rms_error"],
-            weight_storage_bits_per_nonzero=record["weight_storage_bits_per_nonzero"],
-        )
-        for record in result.records
-    ]
+    return codebook_bits_point(weights, scale, int(point["weight_bits"]), ctx.seed)
 
 
 def _render_codebook(result: ExperimentResult) -> str:
@@ -615,7 +518,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         run_point=_fig6_point,
         finalize=_geomean_finalize,
         render=lambda result: _render_speedup_like(result, "Speedup over CPU dense (batch 1):"),
-        to_legacy=_speedup_table_view,
     ),
     Experiment(
         name="fig7_energy_efficiency",
@@ -628,7 +530,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         render=lambda result: _render_speedup_like(
             result, "Energy efficiency over CPU dense (batch 1):"
         ),
-        to_legacy=_speedup_table_view,
     ),
     Experiment(
         name="fig8_fifo_depth",
@@ -636,11 +537,10 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig8_fifo_depth",
             workloads=BENCHMARK_NAMES,
-            grid={"fifo_depth": _FIFO_DEPTHS},
+            grid={"fifo_depth": (1, 2, 4, 8, 16, 32, 64, 128, 256)},
         ),
         run_point=_fig8_point,
         render=_render_fig8,
-        to_legacy=_fig8_legacy,
     ),
     Experiment(
         name="fig9_sram_width",
@@ -648,12 +548,11 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig9_sram_width",
             workloads=BENCHMARK_NAMES,
-            grid={"width_bits": _SRAM_WIDTHS},
+            grid={"width_bits": (32, 64, 128, 256, 512)},
             params={"spmat_sram_kb": 128.0, "entry_bits": 8},
         ),
         run_point=_fig9_point,
         render=_render_fig9,
-        to_legacy=_fig9_legacy,
     ),
     Experiment(
         name="fig10_precision",
@@ -672,7 +571,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         ),
         run_point=_fig10_point,
         render=_render_fig10,
-        to_legacy=_fig10_legacy,
         uses_workloads=False,
     ),
     Experiment(
@@ -681,13 +579,13 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig11_scalability",
             workloads=BENCHMARK_NAMES,
-            grid={"num_pes": _PE_COUNTS},
+            grid={"num_pes": DEFAULT_PE_COUNTS},
         ),
         run_point=_scalability_point,
         finalize=_fig11_finalize,
-        render=lambda result: "Speedup vs number of PEs:\n"
-        + render_series(_series_view(result, "num_pes", "speedup_vs_1pe"), "# PEs"),
-        to_legacy=_fig11_legacy,
+        render=lambda result: _render_pe_series(
+            result, "Speedup vs number of PEs:", "speedup_vs_1pe"
+        ),
     ),
     Experiment(
         name="fig12_padding_zeros",
@@ -695,12 +593,12 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig12_padding_zeros",
             workloads=BENCHMARK_NAMES,
-            grid={"num_pes": _PE_COUNTS},
+            grid={"num_pes": DEFAULT_PE_COUNTS},
         ),
         run_point=_fig12_point,
-        render=lambda result: "Real work / total work vs number of PEs:\n"
-        + render_series(_series_view(result, "num_pes", "real_work_fraction"), "# PEs"),
-        to_legacy=lambda result: _series_view(result, "num_pes", "real_work_fraction"),
+        render=lambda result: _render_pe_series(
+            result, "Real work / total work vs number of PEs:", "real_work_fraction"
+        ),
     ),
     Experiment(
         name="fig13_load_balance",
@@ -708,12 +606,12 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig13_load_balance",
             workloads=BENCHMARK_NAMES,
-            grid={"num_pes": _PE_COUNTS},
+            grid={"num_pes": DEFAULT_PE_COUNTS},
         ),
         run_point=_scalability_point,
-        render=lambda result: "Load balance vs number of PEs:\n"
-        + render_series(_series_view(result, "num_pes", "load_balance_efficiency"), "# PEs"),
-        to_legacy=lambda result: _series_view(result, "num_pes", "load_balance_efficiency"),
+        render=lambda result: _render_pe_series(
+            result, "Load balance vs number of PEs:", "load_balance_efficiency"
+        ),
     ),
     Experiment(
         name="table1_energy",
@@ -766,7 +664,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         ),
         run_point=_index_width_point,
         render=_render_index_width,
-        to_legacy=_index_width_legacy,
     ),
     Experiment(
         name="ablation_codebook_bits",
@@ -778,7 +675,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         ),
         run_point=_codebook_point,
         render=_render_codebook,
-        to_legacy=_codebook_legacy,
         uses_workloads=False,
     ),
     Experiment(

@@ -5,7 +5,7 @@ The experiment registry mirrors the engine registry pattern
 point — each figure, table and ablation of the paper — registers itself under
 a short name (``"fig8_fifo_depth"``, ``"table4_wallclock"``, ...) together
 with its default :class:`~repro.experiments.spec.ExperimentSpec`, a per-point
-run function, and a renderer reproducing the legacy CLI output byte for byte.
+run function, and a renderer printing the paper-table text of its records.
 Consumers select experiments by name:
 
     from repro.experiments import run_experiment
@@ -38,14 +38,11 @@ class Experiment:
         spec: the default spec (grid axes, params, workload selection).
         run_point: ``(context, point) -> record(s)`` — executes one grid
             point and returns one record dictionary or a list of them.
-        render: ``result -> str`` — the paper-table text of a result
-            (byte-identical to the legacy CLI output).
+        render: ``result -> str`` — the paper-table text of a result's
+            records (what the CLI's ``table`` / ``figure`` commands print).
         finalize: optional ``(context, records) -> records`` post-processing
             over the assembled records (cross-point derivations such as
             speedup-versus-baseline or geometric means).
-        to_legacy: optional ``result -> legacy value`` reshaping records into
-            the legacy analysis function's return type (used by the
-            back-compat shims).
         uses_workloads: whether the grid gains an implicit leading
             ``benchmark`` axis from the spec's workload selection.
     """
@@ -56,7 +53,6 @@ class Experiment:
     run_point: "Callable[[ExperimentContext, dict], Any]"
     render: "Callable[[ExperimentResult], str] | None" = None
     finalize: "Callable[[ExperimentContext, list[dict]], list[dict]] | None" = None
-    to_legacy: "Callable[[ExperimentResult], Any] | None" = None
     uses_workloads: bool = True
 
     def __post_init__(self) -> None:

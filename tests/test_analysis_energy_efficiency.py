@@ -1,15 +1,15 @@
 """Direct tests for analysis/energy_efficiency.py (Figure 7's data layer).
 
-Golden-value and shape tests for :func:`layer_energies` and
-:func:`energy_efficiency_table` on scaled layers, plus spec-level parity
-against the ``"fig7_energy_efficiency"`` experiment.
+Golden-value and shape tests for :func:`layer_energies` and the records of
+the ``"fig7_energy_efficiency"`` experiment on scaled layers, plus spec-level
+parity between an ``EIEConfig`` object and the equivalent JSON overlay.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.energy_efficiency import energy_efficiency_table, layer_energies
+from repro.analysis.energy_efficiency import layer_energies
 from repro.analysis.report import geometric_mean
 from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS
 from repro.baselines.roofline import RooflinePlatform
@@ -82,12 +82,15 @@ class TestLayerEnergies:
 class TestEnergyEfficiencyTable:
     @pytest.fixture(scope="class")
     def table(self, builder, subset, eie_config):
-        return energy_efficiency_table(subset, builder=builder, eie_config=eie_config)
+        result = run_experiment(
+            "fig7_energy_efficiency", builder=builder, workloads=subset, config=eie_config
+        )
+        return {record["benchmark"]: record for record in result.records}
 
     def test_shape_benchmarks_plus_geomean(self, table, subset):
         assert set(table) == {spec.name for spec in subset} | {GEOMEAN_KEY}
         for row in table.values():
-            assert set(row) == set(SPEEDUP_CONFIGS)
+            assert set(row) == {"benchmark", *SPEEDUP_CONFIGS}
 
     def test_cpu_dense_is_the_unit_baseline(self, table):
         for name, row in table.items():
@@ -110,12 +113,12 @@ class TestEnergyEfficiencyTable:
 
     def test_eie_dominates_every_configuration(self, table):
         for row in table.values():
-            assert row["EIE"] == max(row.values())
+            assert row["EIE"] == max(row[name] for name in SPEEDUP_CONFIGS)
 
     def test_spec_level_parity_with_experiment(self, builder, subset, eie_config, table):
-        """The registered experiment reproduces the legacy table bit for bit."""
+        """A JSON-style ``config`` overlay reproduces the EIEConfig run bit for bit."""
         result = run_experiment(
             "fig7_energy_efficiency", builder=builder, workloads=subset,
-            config=eie_config,
+            config={"num_pes": eie_config.num_pes},
         )
-        assert result.legacy() == table
+        assert {record["benchmark"]: record for record in result.records} == table

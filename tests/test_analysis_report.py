@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.report import format_number, format_table, geometric_mean, render_series
+from repro.analysis.report import (
+    format_number,
+    format_table,
+    geometric_mean,
+    record_series,
+    render_series,
+)
 
 
 class TestGeometricMean:
@@ -69,3 +75,15 @@ class TestRenderSeries:
         series = {"A": {1: 0.5}, "B": {2: 0.25}}
         text = render_series(series)
         assert "-" in text
+
+
+class TestRecordSeries:
+    def test_groups_records_by_benchmark_in_record_order(self):
+        records = [
+            {"benchmark": "A", "num_pes": 4, "speedup": 3.5},
+            {"benchmark": "A", "num_pes": 1, "speedup": 1.0},
+            {"benchmark": "B", "num_pes": 1, "speedup": 1.0},
+        ]
+        series = record_series(records, "num_pes", "speedup")
+        assert series == {"A": {4: 3.5, 1: 1.0}, "B": {1: 1.0}}
+        assert list(series["A"]) == [4, 1]

@@ -1,22 +1,15 @@
-"""Parity tests: registered experiments reproduce the legacy entry points.
+"""Parity tests: registered experiments against independent recomputations.
 
-Each paper entry point must be runnable as an experiment whose rendered
-table and reshaped (legacy-view) values match the legacy analysis function
-bit for bit, and the CLI's classic ``figure``/``table``/``ablation`` commands
-must print byte-identical output to ``experiment run <name>``.  A direct
-engine-level recomputation guards against the shims and the catalog drifting
-together.
+The engine-timed sweeps are recomputed point by point directly through the
+engine registry, the table experiments are compared with the table row
+builders, and the CLI's classic ``figure``/``table``/``ablation`` commands
+must print byte-identical output to ``experiment run <name>``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.ablation import codebook_bits_ablation, index_width_ablation
-from repro.analysis.design_space import fifo_depth_sweep, precision_study, sram_width_sweep
-from repro.analysis.energy_efficiency import energy_efficiency_table
-from repro.analysis.scalability import pe_sweep
-from repro.analysis.speedup import speedup_table
 from repro.cli import main
 from repro.core.config import EIEConfig
 from repro.engine import EngineRegistry
@@ -39,15 +32,7 @@ def subset():
 
 
 class TestLegacyFunctionParity:
-    """The shims and the experiments must agree exactly (same objects/values)."""
-
-    def test_fifo_depth_sweep(self, builder, subset):
-        legacy = fifo_depth_sweep((1, 8), subset, num_pes=16, builder=builder)
-        result = run_experiment(
-            "fig8_fifo_depth", builder=builder, workloads=subset,
-            grid={"fifo_depth": (1, 8)}, config={"num_pes": 16},
-        )
-        assert result.legacy() == legacy
+    """Experiment records equal a direct recomputation of the same points."""
 
     def test_fifo_depth_against_direct_engine_runs(self, builder, subset):
         """Independent recomputation: the experiment cannot drift silently."""
@@ -63,64 +48,23 @@ class TestLegacyFunctionParity:
             stats = engine.run(engine.prepare(workload)).stats
             assert record["load_balance_efficiency"] == stats.load_balance_efficiency
 
-    def test_sram_width_sweep(self, builder, subset):
-        legacy = sram_width_sweep((32, 64, 128), subset, num_pes=16, builder=builder)
-        result = run_experiment(
-            "fig9_sram_width", builder=builder, workloads=subset,
-            grid={"width_bits": (32, 64, 128)}, config={"num_pes": 16},
-        )
-        assert result.legacy() == legacy
-
-    def test_precision_study(self):
-        legacy = precision_study(num_samples=32, input_size=16, hidden_size=12, classes=8)
-        result = run_experiment(
-            "fig10_precision",
-            params={"num_samples": 32, "input_size": 16, "hidden_size": 12, "classes": 8},
-        )
-        assert result.legacy() == legacy
-
-    def test_pe_sweep(self, builder, subset):
-        legacy = pe_sweep((1, 4, 16), subset, builder=builder)
+    def test_fig11_cycles_against_direct_engine_runs(self, builder, subset):
+        """Independent recomputation of every Figure 11 point's cycle count."""
         result = run_experiment(
             "fig11_scalability", builder=builder, workloads=subset,
-            grid={"num_pes": (1, 4, 16)}, config={"fifo_depth": 8},
+            grid={"num_pes": (1, 4, 16)},
         )
-        assert result.legacy() == legacy
-
-    def test_speedup_table(self, builder, subset):
-        legacy = speedup_table(subset, builder=builder, eie_config=EIEConfig(num_pes=16))
-        result = run_experiment(
-            "fig6_speedup", builder=builder, workloads=subset, config={"num_pes": 16}
-        )
-        assert result.legacy() == legacy
-
-    def test_energy_efficiency_table(self, builder, subset):
-        legacy = energy_efficiency_table(
-            subset, builder=builder, eie_config=EIEConfig(num_pes=16)
-        )
-        result = run_experiment(
-            "fig7_energy_efficiency", builder=builder, workloads=subset,
-            config={"num_pes": 16},
-        )
-        assert result.legacy() == legacy
-
-    def test_index_width_ablation(self, builder, subset):
-        legacy = index_width_ablation(
-            subset[0], index_bits_options=(2, 4, 8), num_pes=8, builder=builder
-        )
-        result = run_experiment(
-            "ablation_index_width", builder=builder, workloads=subset[:1],
-            grid={"index_bits": (2, 4, 8)}, config={"num_pes": 8},
-        )
-        assert result.legacy() == legacy
-
-    def test_codebook_bits_ablation(self):
-        legacy = codebook_bits_ablation(weight_bits_options=(2, 4), num_weights=2000)
-        result = run_experiment(
-            "ablation_codebook_bits", grid={"weight_bits": (2, 4)},
-            params={"num_weights": 2000},
-        )
-        assert result.legacy() == legacy
+        cycles = {}
+        for record in result.records:
+            spec = next(s for s in subset if s.name == record["benchmark"])
+            workload = builder.build(spec, record["num_pes"])
+            engine = EngineRegistry.create("cycle", EIEConfig(num_pes=record["num_pes"]))
+            stats = engine.run(engine.prepare(workload)).stats
+            assert record["total_cycles"] == stats.total_cycles
+            cycles[(spec.name, record["num_pes"])] = stats.total_cycles
+        for record in result.records:
+            baseline = cycles[(record["benchmark"], 1)]
+            assert record["speedup_vs_1pe"] == baseline / record["total_cycles"]
 
     def test_tables_match_legacy_row_builders(self):
         # Table V is exercised at full scale by the benchmark harness only

@@ -196,6 +196,5 @@ class TestResult:
         )
         table = adhoc.to_table()
         assert "metric" in table and "speedup" in table
-        assert adhoc.legacy() == adhoc.records  # no registry entry: raw records
         txt_path, json_path = adhoc.write(tmp_path)
         assert txt_path.name == "adhoc_perf.txt" and json_path.exists()
