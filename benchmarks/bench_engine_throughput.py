@@ -4,17 +4,17 @@ Tracks the performance contract of the :mod:`repro.engine` seam on an
 AlexNet-FC-sized layer:
 
 * the ``"functional"`` and ``"cycle"`` engines round-trip the layer with
-  results identical to the legacy ``FunctionalEIE`` / ``CycleAccurateEIE``
-  classes;
+  results identical to the golden references: the decoded weight columns
+  accumulated in broadcast order, and the timing recurrence on the work of
+  the non-zero columns;
 * a batched ``run`` of 64 activation vectors on the cycle engine is at least
-  1.5x faster than 64 sequential legacy single-vector simulations, and the
-  measured inferences/sec of both paths are recorded in the perf trajectory.
+  1.5x faster than 64 sequential single-vector ``run`` calls on the same
+  prepared layer, and the measured inferences/sec of both paths are recorded
+  in the perf trajectory.
 
-The contract used to be 5x when each sequential legacy run re-extracted the
-per-(PE, column) work matrices from the CSC storage; that extraction is now
-computed once and cached on the storage itself (so the legacy path got much
-faster too), and the remaining batched advantage is the timing recurrence
-advancing all 64 items per broadcast block instead of one at a time.
+Both paths share the per-(PE, column) work matrices extracted at prepare
+time, so the batched advantage is the timing recurrence advancing all 64
+items per broadcast block instead of one at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.compression.pipeline import CompressionConfig
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import CycleAccurateEIE
-from repro.core.functional import FunctionalEIE
+from repro.core.cycle_model import layer_work_matrices, simulate_layer_cycles
 from repro.engine import EngineRegistry, Session
 from repro.experiments import ExperimentResult
 from repro.utils.rng import make_rng
@@ -53,28 +52,38 @@ def _build_layer_and_batch():
 
 
 def test_engine_throughput_batched_vs_sequential(benchmark, results_dir):
-    """Round-trip parity at scale plus the >= 5x batched-throughput contract."""
+    """Round-trip parity at scale plus the >= 1.5x batched-throughput contract."""
     session, layer, batch = _build_layer_and_batch()
     config = session.default_config
 
-    # -- round-trip parity against the pre-refactor classes -------------------
+    # -- round-trip parity against the golden references ----------------------
     vector = batch[0]
+    columns = np.nonzero(vector)[0]
     cycle_engine = EngineRegistry.create("cycle", config)
-    engine_stats = cycle_engine.run(cycle_engine.prepare(layer), vector).stats
-    legacy_stats = CycleAccurateEIE(config).simulate_layer(layer, vector)
-    assert engine_stats.total_cycles == legacy_stats.total_cycles
-    assert np.array_equal(engine_stats.busy_cycles, legacy_stats.busy_cycles)
-    assert engine_stats.padding_entries == legacy_stats.padding_entries
+    prepared = cycle_engine.prepare(layer)
+    engine_stats = cycle_engine.run(prepared, vector).stats
+    counts, padding = layer_work_matrices(layer)
+    golden_stats = simulate_layer_cycles(
+        work=counts[:, columns],
+        fifo_depth=config.fifo_depth,
+        padding_work=padding[:, columns],
+        clock_mhz=config.clock_mhz,
+    )
+    assert engine_stats.total_cycles == golden_stats.total_cycles
+    assert np.array_equal(engine_stats.busy_cycles, golden_stats.busy_cycles)
+    assert engine_stats.padding_entries == golden_stats.padding_entries
 
     functional_engine = EngineRegistry.create("functional", config)
     engine_output = functional_engine.run(functional_engine.prepare(layer), vector).output
-    legacy_output = FunctionalEIE(layer, config).run(vector).output
-    assert np.array_equal(engine_output, legacy_output)
+    weights = layer.dense_weights()
+    golden_pre = np.zeros(layer.rows)
+    for column in columns:
+        golden_pre = golden_pre + weights[:, column] * vector[column]
+    assert np.array_equal(engine_output, np.maximum(golden_pre, 0.0))
 
-    # -- throughput: 64 sequential legacy runs vs one batched engine run ------
-    legacy = CycleAccurateEIE(config)
+    # -- throughput: 64 sequential single-vector runs vs one batched run ------
     start = time.perf_counter()
-    sequential = [legacy.simulate_layer(layer, row) for row in batch]
+    sequential = [cycle_engine.run(prepared, row).stats for row in batch]
     sequential_s = time.perf_counter() - start
 
     session.run("cycle", layer, batch[:2])  # warm the prepared-layer cache
@@ -114,5 +123,5 @@ def test_engine_throughput_batched_vs_sequential(benchmark, results_dir):
     )
     write_result(results_dir, perf,
                  extra="Contract: batched cycle simulation must be >= 1.5x faster "
-                       "than sequential legacy runs (which now reuse the cached "
-                       "per-layer work matrices).")
+                       "than sequential single-vector runs on the same prepared "
+                       "layer.")

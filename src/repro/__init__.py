@@ -25,15 +25,17 @@ The library implements, in pure Python + numpy:
 Quick start::
 
     import numpy as np
-    from repro import EIEAccelerator, EIEConfig
+    from repro import EIEConfig, Session
 
-    accelerator = EIEAccelerator(EIEConfig(num_pes=8))
+    config = EIEConfig(num_pes=8)
+    session = Session(config=config)
     rng = np.random.default_rng(0)
     weights = rng.normal(size=(256, 512)) * (rng.random((256, 512)) < 0.1)
-    layer = accelerator.compress_and_load(weights, name="fc")
-    result = accelerator.run(rng.random(512))[-1]
-    estimate = accelerator.estimate_layer(layer, rng.random(512))
-    print(result.output.shape, estimate.performance.time_us)
+    layer = session.compress(weights, num_pes=config.num_pes, name="fc")
+    activations = rng.random(512)
+    result = session.run("functional", layer, activations)
+    stats = session.run("cycle", layer, activations).stats
+    print(result.output.shape, stats.performance(layer.dense_weight_count).time_us)
 """
 
 from repro.compression import (
@@ -46,15 +48,7 @@ from repro.compression import (
     WeightCodebook,
     prune_to_density,
 )
-from repro.core import (
-    CycleAccurateEIE,
-    CycleStats,
-    EIEAccelerator,
-    EIEConfig,
-    FunctionalEIE,
-    FunctionalResult,
-    LayerEstimate,
-)
+from repro.core import CycleStats, EIEConfig, FunctionalResult
 from repro.engine import (
     EngineRegistry,
     EngineResult,
@@ -105,10 +99,8 @@ __all__ = [
     "CompressedLayer",
     "CompressedModel",
     "CompressionConfig",
-    "CycleAccurateEIE",
     "CycleStats",
     "DeepCompressor",
-    "EIEAccelerator",
     "EIEConfig",
     "ENERGY_TABLE_45NM",
     "EnergyModel",
@@ -122,12 +114,10 @@ __all__ = [
     "FaultConfig",
     "FeedForwardNetwork",
     "FullyConnectedLayer",
-    "FunctionalEIE",
     "FunctionalResult",
     "HuffmanCode",
     "InterleavedCSC",
     "LSTMCell",
-    "LayerEstimate",
     "LayerSpec",
     "MatVecNode",
     "ModelIR",

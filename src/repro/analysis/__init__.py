@@ -12,7 +12,7 @@ the primitives those experiments call for each grid point:
 * :mod:`repro.analysis.design_space` — the Figure 10 precision proxy.
 * :mod:`repro.analysis.ablation` — the codebook-size ablation's weight
   population and per-size fit.
-* :mod:`repro.analysis.tables` — Tables I-V row builders.
+* :mod:`repro.analysis.tables` — Tables I-III and V row builders.
 * :mod:`repro.analysis.report` — plain-text rendering helpers used by the
   renderers, the benchmark harness and the examples.
 """

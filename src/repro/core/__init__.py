@@ -12,21 +12,18 @@ The accelerator model is split into:
 * :mod:`repro.core.pe` — the functional processing element (pointer read,
   sparse-matrix read, codebook expansion, multiply-accumulate, activation
   read/write);
-* :mod:`repro.core.functional` — whole-accelerator functional simulation
-  (bit-exact against the dense reference);
+* :mod:`repro.core.functional` — the per-vector result record of the
+  ``"functional"`` engine (:mod:`repro.engine` holds the simulators);
 * :mod:`repro.core.cycle_model` — the cycle-level performance model behind
   Figures 8 and 11-13 and the EIE rows of Table IV;
 * :mod:`repro.core.rtl` — a small two-phase (propagate/update) RTL-style
-  simulation kernel mirroring the paper's C++ simulator structure;
-* :mod:`repro.core.accelerator` — the user-facing facade combining the
-  compression pipeline, the simulators and the energy/area models.
+  simulation kernel mirroring the paper's C++ simulator structure.
 """
 
-from repro.core.accelerator import EIEAccelerator, LayerEstimate
 from repro.core.activation_queue import ActivationQueue, QueueEntry
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import CycleAccurateEIE, CycleStats, simulate_layer_cycles
-from repro.core.functional import FunctionalEIE, FunctionalResult
+from repro.core.cycle_model import CycleStats, simulate_layer_cycles
+from repro.core.functional import FunctionalResult
 from repro.core.io_model import DMAModel, LoadCost, activation_batches, activation_sram_overhead_cycles
 from repro.core.lnzd import LNZDNode, LNZDTree
 from repro.core.partitioning import (
@@ -41,20 +38,16 @@ from repro.core.stats import EnergyStats, LoadBalanceStats, PerformanceStats
 
 __all__ = [
     "ActivationQueue",
-    "CycleAccurateEIE",
     "CycleStats",
     "DMAModel",
-    "EIEAccelerator",
     "EIEConfig",
     "EnergyStats",
     "LoadCost",
     "activation_batches",
     "activation_sram_overhead_cycles",
-    "FunctionalEIE",
     "FunctionalResult",
     "LNZDNode",
     "LNZDTree",
-    "LayerEstimate",
     "LoadBalanceStats",
     "PartitioningResult",
     "PerformanceStats",

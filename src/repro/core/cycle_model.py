@@ -23,23 +23,20 @@ Table III layers for every design-space sweep in the paper (Figures 8 and
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import kernels
 from repro.compression.pipeline import CompressedLayer
-from repro.core.config import EIEConfig
 from repro.core.stats import LoadBalanceStats, PerformanceStats
 from repro.errors import SimulationError
-from repro.utils.validation import require_vector
 
 __all__ = [
     "CycleStats",
     "layer_work_matrices",
     "simulate_layer_cycles",
     "simulate_layer_cycles_batch",
-    "CycleAccurateEIE",
 ]
 
 
@@ -128,12 +125,11 @@ def layer_work_matrices(layer: CompressedLayer) -> tuple[np.ndarray, np.ndarray]
     ``counts[p, j]`` is the number of encoded entries PE ``p`` must retire
     when column ``j`` is broadcast, and ``padding[p, j]`` how many of those
     are padding zeros.  This is the layer-dependent (but activation- and
-    configuration-independent) half of the cycle model, shared by
-    :class:`CycleAccurateEIE` and the ``"cycle"`` engine adapter so a layer
-    only pays the extraction cost once per preparation.  Both matrices come
-    from one bincount over flat (PE, column) ids covering every stored entry
-    (no per-PE Python loop) and are cached read-only on the storage, so
-    repeated simulations of the same layer skip the extraction entirely.
+    configuration-independent) half of the cycle model, extracted once per
+    preparation by the ``"cycle"`` engine.  Both matrices come from one
+    bincount over flat (PE, column) ids covering every stored entry (no
+    per-PE Python loop) and are cached read-only on the storage, so repeated
+    simulations of the same layer skip the extraction entirely.
     """
     return layer.storage.entries_per_pe_column(), layer.storage.padding_per_pe_column()
 
@@ -463,57 +459,3 @@ def simulate_layer_cycles_batch(
             )
         )
     return results
-
-
-class CycleAccurateEIE:
-    """Cycle-level simulator facade operating on compressed layers.
-
-    For explicitly compressed layers (:class:`CompressedLayer`) the per-PE,
-    per-column work counts are extracted from the interleaved CSC storage; the
-    synthetic full-size workloads in :mod:`repro.workloads` provide the work
-    matrices directly (see :class:`repro.workloads.generator.LayerWorkload`).
-    """
-
-    def __init__(self, config: EIEConfig | None = None) -> None:
-        self.config = config or EIEConfig()
-
-    def simulate_layer(
-        self,
-        layer: CompressedLayer,
-        activations: np.ndarray,
-    ) -> CycleStats:
-        """Simulate the timing of running ``layer`` on ``activations``."""
-        if layer.num_pes != self.config.num_pes:
-            raise SimulationError(
-                f"layer is interleaved over {layer.num_pes} PEs but the configuration "
-                f"has {self.config.num_pes}"
-            )
-        activations = np.asarray(require_vector("activations", activations), dtype=np.float64)
-        if activations.shape[0] != layer.cols:
-            raise SimulationError(
-                f"activation length {activations.shape[0]} does not match layer "
-                f"input size {layer.cols}"
-            )
-        nonzero_columns = np.nonzero(activations)[0]
-        counts, padding = layer_work_matrices(layer)
-        work = counts[:, nonzero_columns]
-        padding_work = padding[:, nonzero_columns]
-        return simulate_layer_cycles(
-            work=work,
-            fifo_depth=self.config.fifo_depth,
-            padding_work=padding_work,
-            clock_mhz=self.config.clock_mhz,
-        )
-
-    def simulate_work_matrix(
-        self,
-        work: np.ndarray,
-        padding_work: np.ndarray | None = None,
-    ) -> CycleStats:
-        """Simulate the timing for an explicit work matrix."""
-        return simulate_layer_cycles(
-            work=work,
-            fifo_depth=self.config.fifo_depth,
-            padding_work=padding_work,
-            clock_mhz=self.config.clock_mhz,
-        )

@@ -1,35 +1,20 @@
-"""Whole-accelerator functional simulation.
+"""The per-vector result of a functional (bit-exact) simulation.
 
-:class:`FunctionalEIE` wires a :class:`~repro.core.ccu.CentralControlUnit`
-and one :class:`~repro.core.pe.ProcessingElement` per PE together and runs the
-exact computation of Equation (3) of the paper:
-
-``b_i = ReLU( sum_{j in X_i ∩ Y} S[I_ij] * a_j )``
-
-where ``X_i`` is the static sparsity of the weights, ``Y`` the dynamic
-sparsity of the activations, ``I`` the 4-bit weight indices and ``S`` the
-shared-weight codebook.  The result is bit-identical (in float mode) to the
-dense reference ``ReLU(W_decoded @ a)``, which is how the simulator is
-validated in the test suite — mirroring the paper's use of Caffe as the
-golden model.
+The simulation itself is the ``"functional"`` engine
+(:class:`~repro.engine.adapters.FunctionalEngine`); every
+:class:`~repro.engine.base.EngineResult` it produces carries one
+:class:`FunctionalResult` per input vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.pipeline import CompressedLayer
-from repro.core.ccu import CentralControlUnit
-from repro.core.config import EIEConfig
-from repro.core.pe import PEAccessCounters, ProcessingElement
-from repro.errors import SimulationError
-from repro.nn.fixed_point import FixedPointFormat
-from repro.nn.layers import ACTIVATIONS
-from repro.utils.validation import require_vector
+from repro.core.pe import PEAccessCounters
 
-__all__ = ["FunctionalResult", "FunctionalEIE"]
+__all__ = ["FunctionalResult"]
 
 
 @dataclass
@@ -70,99 +55,3 @@ class FunctionalResult:
         if self.output.size == 0:
             return 0.0
         return float(np.count_nonzero(self.output)) / self.output.size
-
-
-class FunctionalEIE:
-    """Functional (bit-exact) simulator of the EIE array for one layer.
-
-    Args:
-        layer: a compressed layer whose interleaving matches ``config.num_pes``.
-        config: accelerator configuration.
-        fixed_point: optional fixed-point format for weights/products; by
-            default the 16-bit format implied by ``config.activation_bits`` is
-            *not* applied so results match the float64 reference exactly.
-    """
-
-    def __init__(
-        self,
-        layer: CompressedLayer,
-        config: EIEConfig | None = None,
-        fixed_point: FixedPointFormat | None = None,
-    ) -> None:
-        self.config = config or EIEConfig(num_pes=layer.num_pes)
-        if layer.num_pes != self.config.num_pes:
-            raise SimulationError(
-                f"layer is interleaved over {layer.num_pes} PEs but the configuration "
-                f"has {self.config.num_pes}"
-            )
-        self.layer = layer
-        self.fixed_point = fixed_point
-        self.ccu = CentralControlUnit(self.config.num_pes)
-        self.pes = [
-            ProcessingElement(
-                pe_id=pe,
-                slice_matrix=layer.storage.per_pe[pe],
-                codebook=layer.codebook,
-                num_pes=self.config.num_pes,
-                config=self.config,
-                fixed_point=fixed_point,
-            )
-            for pe in range(self.config.num_pes)
-        ]
-        for pe in self.pes:
-            pe.check_capacity()
-
-    # -- execution --------------------------------------------------------------
-
-    def run(self, activations: np.ndarray, apply_nonlinearity: bool = True) -> FunctionalResult:
-        """Run one M x V on the array and return the output vector.
-
-        Args:
-            activations: dense input activation vector of length
-                ``layer.cols``; zeros are skipped by the LNZD network.
-            apply_nonlinearity: whether to apply the layer's non-linearity
-                (ReLU for the CNN benchmarks) to the accumulated outputs.
-        """
-        activations = np.asarray(require_vector("activations", activations), dtype=np.float64)
-        if activations.shape[0] != self.layer.cols:
-            raise SimulationError(
-                f"activation length {activations.shape[0]} does not match layer "
-                f"input size {self.layer.cols}"
-            )
-        if self.fixed_point is not None:
-            activations = self.fixed_point.quantize(activations)
-        for pe in self.pes:
-            pe.reset()
-        self.ccu.enter_computing_mode()
-        schedule = self.ccu.broadcast_schedule(activations)
-        for entry in schedule:
-            for pe in self.pes:
-                pe.process_activation(entry.column, entry.value)
-        self.ccu.finish_layer()
-        pre_activation = self._collect_outputs()
-        if apply_nonlinearity:
-            nonlinearity = ACTIVATIONS[self.layer.activation_name]
-            output = nonlinearity(pre_activation)
-        else:
-            output = pre_activation.copy()
-        counters = PEAccessCounters()
-        for pe in self.pes:
-            counters = counters.merge(pe.counters)
-        per_pe_entries = np.asarray(
-            [pe.counters.entries_processed for pe in self.pes], dtype=np.int64
-        )
-        return FunctionalResult(
-            output=output,
-            pre_activation=pre_activation,
-            broadcasts=len(schedule),
-            columns_total=activations.shape[0],
-            counters=counters,
-            per_pe_entries=per_pe_entries,
-        )
-
-    def _collect_outputs(self) -> np.ndarray:
-        """Gather the per-PE accumulators into the dense output vector."""
-        output = np.zeros(self.layer.rows, dtype=np.float64)
-        for pe in self.pes:
-            output[pe.global_output_indices()] = pe.read_outputs()
-        return output

@@ -1,21 +1,18 @@
-"""The built-in backends: legacy simulators refactored behind the seam.
+"""The built-in backends: each engine is the simulator it names.
 
-Each adapter wraps one of the pre-existing simulators so its results stay
-bit-for-bit identical to direct use of the legacy class (the parity test
-suite pins this):
-
-* :class:`FunctionalEngine` — wraps
-  :class:`~repro.core.functional.FunctionalEIE`.  ``prepare`` builds the PE
-  array once; ``run`` executes each batch row through it.
-* :class:`CycleEngine` — wraps the timing kernel behind
-  :class:`~repro.core.cycle_model.CycleAccurateEIE`.  ``prepare`` extracts
-  the per-(PE, column) work/padding matrices once per layer; a batched
-  ``run`` gathers the work columns of *all* batch items with a single NumPy
-  fancy-index into those matrices (one CSC column-gather per layer) instead
-  of re-deriving them per vector.
-* :class:`RTLEngine` — wraps :func:`~repro.core.rtl.pe_rtl.run_pe_rtl`,
-  driving one two-phase RTL PE model per array slot through the broadcast
-  schedule and reassembling the interleaved outputs.
+* :class:`FunctionalEngine` — bit-exact value simulation of the PE array.
+  ``prepare`` wires a :class:`~repro.core.ccu.CentralControlUnit` and one
+  :class:`~repro.core.pe.ProcessingElement` per PE together (capacity
+  checks included) once; ``run`` broadcasts each vector's non-zero
+  activations through them.
+* :class:`CycleEngine` — the broadcast/FIFO timing model.  ``prepare``
+  extracts the per-(PE, column) work/padding matrices once per layer; a
+  batched ``run`` gathers the work columns of *all* batch items with a
+  single NumPy fancy-index into those matrices (one CSC column-gather per
+  layer) instead of re-deriving them per vector.
+* :class:`RTLEngine` — drives :func:`~repro.core.rtl.pe_rtl.run_pe_rtl`,
+  one two-phase RTL PE model per array slot, through the broadcast
+  schedule and reassembles the interleaved outputs.
 
 ``CycleEngine.prepare`` also accepts a
 :class:`~repro.workloads.generator.LayerWorkload` (the synthetic full-size
@@ -28,14 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.pipeline import CompressedLayer
+from repro.core.activation_queue import QueueEntry
+from repro.core.ccu import CentralControlUnit
 from repro.core.config import EIEConfig
 from repro.core.cycle_model import (
     layer_work_matrices,
     simulate_layer_cycles,
     simulate_layer_cycles_batch,
 )
-from repro.core.functional import FunctionalEIE
-from repro.core.activation_queue import QueueEntry
+from repro.core.functional import FunctionalResult
+from repro.core.pe import PEAccessCounters, ProcessingElement
 from repro.core.rtl.pe_rtl import run_pe_rtl
 from repro.engine.base import EngineResult, PreparedLayer, SimulationEngine
 from repro.engine.registry import register_engine
@@ -55,13 +54,34 @@ def _require_compressed_layer(engine_name: str, layer: object) -> CompressedLaye
     return layer
 
 
+def _require_matching_pes(layer: CompressedLayer, config: EIEConfig) -> None:
+    if layer.num_pes != config.num_pes:
+        raise SimulationError(
+            f"layer is interleaved over {layer.num_pes} PEs but the configuration "
+            f"has {config.num_pes}"
+        )
+
+
 @register_engine
 class FunctionalEngine(SimulationEngine):
-    """Bit-exact value simulation behind the engine seam.
+    """Bit-exact value simulation: Equation (3) of the paper on the PE array.
 
-    ``prepare`` constructs the :class:`FunctionalEIE` array (CCU, PEs,
-    capacity checks) once; every ``run`` reuses it, so multi-vector and
-    multi-call workloads no longer pay the array construction per inference.
+    ``b_i = f( sum_{j in X_i ∩ Y} S[I_ij] * a_j )``, where ``X_i`` is the
+    static sparsity of the weights, ``Y`` the dynamic sparsity of the
+    activations, ``I`` the 4-bit weight indices and ``S`` the shared-weight
+    codebook.  In float mode the result is bit-identical to accumulating the
+    decoded weight columns in broadcast order — the parity suite checks it
+    against that golden model, mirroring the paper's use of Caffe.
+
+    ``prepare`` builds the CCU and the PE array once; every ``run`` reuses
+    it, so multi-vector and multi-call workloads do not pay the array
+    construction per inference.
+
+    Args:
+        config: accelerator configuration.
+        fixed_point: optional fixed-point format for activations, weights,
+            products and sums; ``None`` computes in float64 so results match
+            the dense reference exactly.
     """
 
     name = "functional"
@@ -79,14 +99,27 @@ class FunctionalEngine(SimulationEngine):
 
     def prepare(self, layer: CompressedLayer) -> PreparedLayer:
         layer = _require_compressed_layer(self.name, layer)
-        simulator = FunctionalEIE(layer, self.config, fixed_point=self.fixed_point)
+        _require_matching_pes(layer, self.config)
+        pes = [
+            ProcessingElement(
+                pe_id=pe,
+                slice_matrix=layer.storage.per_pe[pe],
+                codebook=layer.codebook,
+                num_pes=self.config.num_pes,
+                config=self.config,
+                fixed_point=self.fixed_point,
+            )
+            for pe in range(self.config.num_pes)
+        ]
+        for pe in pes:
+            pe.check_capacity()
         return PreparedLayer(
             engine=self.name,
             num_pes=layer.num_pes,
             rows=layer.rows,
             cols=layer.cols,
             activation_name=layer.activation_name,
-            payload=simulator,
+            payload=(CentralControlUnit(self.config.num_pes), pes),
             source=layer,
             cache_token=self.prepare_token(),
         )
@@ -96,8 +129,7 @@ class FunctionalEngine(SimulationEngine):
         if activations is None:
             raise SimulationError(f"engine {self.name!r} requires an activation vector or batch")
         matrix, batched = self._as_batch(prepared, activations)
-        simulator: FunctionalEIE = prepared.payload
-        results = tuple(simulator.run(row) for row in matrix)
+        results = tuple(self._run_vector(prepared, row) for row in matrix)
         outputs = np.stack([result.output for result in results])
         return EngineResult(
             engine=self.name,
@@ -107,15 +139,44 @@ class FunctionalEngine(SimulationEngine):
             functional=results,
         )
 
+    def _run_vector(self, prepared: PreparedLayer, activations: np.ndarray) -> FunctionalResult:
+        """One M x V: broadcast, accumulate in every PE, apply the non-linearity."""
+        ccu, pes = prepared.payload
+        if self.fixed_point is not None:
+            activations = self.fixed_point.quantize(activations)
+        for pe in pes:
+            pe.reset()
+        ccu.enter_computing_mode()
+        schedule = ccu.broadcast_schedule(activations)
+        for entry in schedule:
+            for pe in pes:
+                pe.process_activation(entry.column, entry.value)
+        ccu.finish_layer()
+        pre_activation = np.zeros(prepared.rows, dtype=np.float64)
+        counters = PEAccessCounters()
+        for pe in pes:
+            pre_activation[pe.global_output_indices()] = pe.read_outputs()
+            counters = counters.merge(pe.counters)
+        return FunctionalResult(
+            output=ACTIVATIONS[prepared.activation_name](pre_activation),
+            pre_activation=pre_activation,
+            broadcasts=len(schedule),
+            columns_total=activations.shape[0],
+            counters=counters,
+            per_pe_entries=np.asarray(
+                [pe.counters.entries_processed for pe in pes], dtype=np.int64
+            ),
+        )
+
 
 @register_engine
 class CycleEngine(SimulationEngine):
     """Broadcast/FIFO timing model behind the engine seam.
 
-    The expensive, layer-dependent half of the legacy
-    :meth:`CycleAccurateEIE.simulate_layer` — extracting the per-(PE, column)
-    entry and padding counts from the interleaved CSC storage — happens once
-    in ``prepare``.  ``run`` then only gathers the broadcast columns and runs
+    The expensive, layer-dependent half of a timing run — extracting the
+    per-(PE, column) entry and padding counts from the interleaved CSC
+    storage (:func:`~repro.core.cycle_model.layer_work_matrices`) — happens
+    once in ``prepare``.  ``run`` then only gathers the broadcast columns and runs
     the timing recurrence: for a batch, the columns of every item are
     gathered with one fancy-index into the prepared matrices.
     """
@@ -156,11 +217,7 @@ class CycleEngine(SimulationEngine):
                 cache_token=self.prepare_token(),
             )
         layer = _require_compressed_layer(self.name, layer)
-        if layer.num_pes != self.config.num_pes:
-            raise SimulationError(
-                f"layer is interleaved over {layer.num_pes} PEs but the configuration "
-                f"has {self.config.num_pes}"
-            )
+        _require_matching_pes(layer, self.config)
         counts, padding = layer_work_matrices(layer)
         return PreparedLayer(
             engine=self.name,
@@ -285,11 +342,7 @@ class RTLEngine(SimulationEngine):
 
     def prepare(self, layer: CompressedLayer) -> PreparedLayer:
         layer = _require_compressed_layer(self.name, layer)
-        if layer.num_pes != self.config.num_pes:
-            raise SimulationError(
-                f"layer is interleaved over {layer.num_pes} PEs but the configuration "
-                f"has {self.config.num_pes}"
-            )
+        _require_matching_pes(layer, self.config)
         return PreparedLayer(
             engine=self.name,
             num_pes=layer.num_pes,

@@ -1,13 +1,10 @@
 """The simulation-engine seam: one protocol for every EIE backend.
 
-Historically the repo exposed three disjoint entry points to "run a layer on
-EIE" — :class:`~repro.core.functional.FunctionalEIE` (bit-exact values),
-:class:`~repro.core.cycle_model.CycleAccurateEIE` (timing) and the RTL kernel
-under :mod:`repro.core.rtl` — and every caller wired them up by hand.  This
-module defines the single seam they now sit behind:
+Every way to "run a layer on EIE" — bit-exact values, broadcast/FIFO timing,
+the two-phase RTL model — is an engine behind this one seam:
 
 * :class:`SimulationEngine` — ``prepare(layer) -> PreparedLayer`` performs all
-  per-layer work (building simulators, extracting work matrices) once, and
+  per-layer work (building the PE array, extracting work matrices) once, and
   ``run(prepared, activations) -> EngineResult`` executes one or many input
   vectors against the prepared state;
 * :class:`PreparedLayer` — the engine-specific prepared form of a layer,

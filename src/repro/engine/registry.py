@@ -3,16 +3,17 @@
 The registry is the one place new EIE backends plug in: implement a
 :class:`~repro.engine.base.SimulationEngine`, decorate it with
 :func:`register_engine` (or call :meth:`EngineRegistry.register`), and every
-consumer of the seam — the accelerator facade, the CLI ``run`` command, the
-analysis sweeps and the benchmark harness — can select it by name.
+consumer of the seam — :class:`~repro.engine.session.Session`, the CLI
+``run`` command, the experiments and the benchmark harness — can select it
+by name.
 
 The built-in backends are registered when :mod:`repro.engine` is imported:
 
 ============ ==============================================================
 Key          Backend
 ============ ==============================================================
-functional   bit-exact value simulation (:class:`FunctionalEIE` adapter)
-cycle        broadcast/FIFO timing model (:class:`CycleAccurateEIE` adapter)
+functional   bit-exact value simulation of the CCU and PE array
+cycle        broadcast/FIFO timing model (:mod:`repro.core.cycle_model`)
 cycle-native the same timing model on the JIT kernel tier
              (:mod:`repro.kernels`; falls back to numpy when unusable)
 rtl          two-phase RTL micro-simulation (:mod:`repro.core.rtl` adapter)

@@ -11,9 +11,18 @@ decomposition and Figure 7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+from repro.hardware.area import chip_power_w
+from repro.hardware.sram import sram_read_energy_pj
 from repro.utils.validation import require_in, require_non_negative
+
+if TYPE_CHECKING:
+    from repro.core.config import EIEConfig
+    from repro.core.cycle_model import CycleStats
+    from repro.core.functional import FunctionalResult
+    from repro.core.stats import EnergyStats
 
 __all__ = [
     "OperationEnergy",
@@ -23,6 +32,7 @@ __all__ = [
     "MULTIPLY_ENERGY_PJ",
     "EnergyModel",
     "EnergyBreakdown",
+    "counter_energy",
 ]
 
 
@@ -311,3 +321,45 @@ class EnergyModel:
             * factors["activation_sparsity"]
         )
         return factors
+
+
+def counter_energy(
+    functional: FunctionalResult, cycles: CycleStats, config: EIEConfig
+) -> EnergyStats:
+    """Bottom-up energy of one EIE layer run from its access counters.
+
+    Prices the functional run's Spmat and pointer SRAM reads with the SRAM
+    read-energy model at the configured widths and capacities, activation
+    register accesses at 0.1 pJ and MACs at 16-bit precision.  The
+    top-down alternative, chip power times execution time, is
+    :attr:`~repro.models.compressed.ModelRunResult.energy_j`.
+    """
+    from repro.core.stats import EnergyStats
+
+    counters = functional.counters
+    spmat_pj = counters.spmat_sram_reads * sram_read_energy_pj(
+        config.spmat_sram_width_bits, config.spmat_sram_kb
+    )
+    ptr_pj = counters.ptr_sram_reads * sram_read_energy_pj(
+        max(config.pointer_bits, 16), config.ptr_sram_kb / 2
+    )
+    act_pj = (counters.act_reg_reads + counters.act_reg_writes) * 0.1
+    mac_pj = counters.macs * EnergyModel(precision="int16").mac_energy_pj()
+    breakdown_pj = {
+        "spmat_sram": spmat_pj,
+        "ptr_sram": ptr_pj,
+        "act_regs": act_pj,
+        "arithmetic": mac_pj,
+    }
+    dynamic_j = sum(breakdown_pj.values()) * 1e-12
+    # Clock / leakage overhead: the chip draws its rated power for the
+    # duration of the layer; use the larger of the two estimates so short
+    # layers are not credited with unrealistically low energy.
+    power_w = chip_power_w(config.num_pes)
+    power_based_j = power_w * cycles.time_s
+    energy_j = max(dynamic_j, power_based_j)
+    return EnergyStats(
+        energy_j=energy_j,
+        power_w=power_w,
+        breakdown={name: value * 1e-12 for name, value in breakdown_pj.items()},
+    )

@@ -50,7 +50,7 @@ from repro.errors import (
     ServerOverloadedError,
     WorkerCrashedError,
 )
-from repro.serve.server import Server, ServeResponse
+from repro.serve.server import CANCELLATION, Server, ServeResponse
 
 __all__ = ["start_daemon", "AsyncServeClient"]
 
@@ -181,6 +181,8 @@ async def _handle_message(server: Server, message: dict[str, Any]) -> dict[str, 
         if op == "ping":
             return {"id": request_id, "ok": True, "pong": True}
         raise ServeError(f"unknown operation {op!r}")
+    except CANCELLATION:
+        raise
     except BaseException as exc:
         return _error_payload(request_id, exc)
 

@@ -129,6 +129,10 @@ class _PendingRequest:
 
 _SHUTDOWN = object()
 
+#: Exceptions that stop a task rather than fail one request: broad handlers
+#: must re-raise them.
+CANCELLATION = (asyncio.CancelledError, KeyboardInterrupt, SystemExit)
+
 
 class _ModelState:
     """Everything the server holds per served model."""
@@ -458,6 +462,10 @@ class Server:
                     pending.future.set_exception(
                         ServeError(f"dispatch failed for {state.ir.name!r}: {exc}")
                     )
+            # The batch's clients are answered; cancellation and interpreter
+            # exit still stop this task.
+            if isinstance(exc, CANCELLATION):
+                raise
             return
         service_s = time.perf_counter() - started
         ema_item = service_s / len(batch)

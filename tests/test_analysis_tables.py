@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import table1_rows, table2_rows, table3_rows, table4_rows
-from repro.core.config import EIEConfig
+from repro.analysis.tables import table1_rows, table2_rows, table3_rows
+from repro.experiments import run_experiment
 from repro.workloads.benchmarks import BENCHMARK_NAMES, scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
 
@@ -52,7 +52,10 @@ class TestTable4:
     def rows(self):
         specs = scaled_benchmarks(64)
         subset = [specs["Alex-6"], specs["NT-Wd"]]
-        return table4_rows(subset, builder=WorkloadBuilder(), eie_config=EIEConfig(num_pes=16))
+        return run_experiment(
+            "table4_wallclock", builder=WorkloadBuilder(), workloads=subset,
+            config={"num_pes": 16},
+        ).records
 
     def test_row_structure(self, rows):
         # 3 platforms x 2 batches x 2 kernels + 2 EIE rows.

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import CycleAccurateEIE, simulate_layer_cycles
+from repro.core.cycle_model import simulate_layer_cycles
+from repro.engine import EngineRegistry
 from repro.errors import SimulationError
 
 
@@ -103,36 +104,34 @@ class TestSimulateLayerCycles:
             simulate_layer_cycles(work, fifo_depth=8, clock_mhz=-800.0)
 
 
-class TestCycleAccurateEIE:
+class TestCycleEngine:
     def test_layer_simulation_consistent_with_functional_entries(
         self, compressed_layer, small_config, dense_activations
     ):
-        from repro.core.functional import FunctionalEIE
-
-        cycle_stats = CycleAccurateEIE(small_config).simulate_layer(
-            compressed_layer, dense_activations
-        )
-        functional = FunctionalEIE(compressed_layer, small_config).run(dense_activations)
+        cycle = EngineRegistry.create("cycle", small_config)
+        cycle_stats = cycle.run(cycle.prepare(compressed_layer), dense_activations).stats
+        engine = EngineRegistry.create("functional", small_config)
+        functional = engine.run(engine.prepare(compressed_layer), dense_activations).functional[0]
         assert cycle_stats.entries_processed == functional.total_entries_processed
         assert cycle_stats.broadcasts == functional.broadcasts
 
     def test_padding_entries_bounded_by_storage(self, compressed_layer, small_config, dense_activations):
-        stats = CycleAccurateEIE(small_config).simulate_layer(compressed_layer, dense_activations)
+        engine = EngineRegistry.create("cycle", small_config)
+        stats = engine.run(engine.prepare(compressed_layer), dense_activations).stats
         assert 0 <= stats.padding_entries <= compressed_layer.storage.num_padding_zeros
 
     def test_wrong_activation_length_rejected(self, compressed_layer, small_config):
+        engine = EngineRegistry.create("cycle", small_config)
+        prepared = engine.prepare(compressed_layer)
         with pytest.raises(SimulationError):
-            CycleAccurateEIE(small_config).simulate_layer(
-                compressed_layer, np.zeros(compressed_layer.cols + 3)
-            )
+            engine.run(prepared, np.zeros(compressed_layer.cols + 3))
 
     def test_pe_mismatch_rejected(self, compressed_layer):
+        engine = EngineRegistry.create("cycle", EIEConfig(num_pes=16))
         with pytest.raises(SimulationError):
-            CycleAccurateEIE(EIEConfig(num_pes=16)).simulate_layer(
-                compressed_layer, np.zeros(compressed_layer.cols)
-            )
+            engine.prepare(compressed_layer)
 
     def test_work_matrix_entry_point(self, small_config):
-        stats = CycleAccurateEIE(small_config).simulate_work_matrix(np.full((4, 20), 2))
+        stats = simulate_layer_cycles(np.full((4, 20), 2), fifo_depth=small_config.fifo_depth)
         assert stats.fifo_depth == small_config.fifo_depth
         assert stats.entries_processed == 160

@@ -45,10 +45,11 @@ class TestDMAModel:
         # Amortised over a realistic number of inferences, loading is negligible
         # compared to the per-inference compute time — the paper's argument for
         # ignoring the I/O mode in Table IV.
-        from repro.core.cycle_model import CycleAccurateEIE
+        from repro.engine import EngineRegistry
 
         load = DMAModel().layer_load_cost(compressed_layer, small_config)
-        inference = CycleAccurateEIE(small_config).simulate_layer(compressed_layer, dense_activations)
+        engine = EngineRegistry.create("cycle", small_config)
+        inference = engine.run(engine.prepare(compressed_layer), dense_activations).stats
         assert load.amortized_over(100_000) < inference.time_s
 
     def test_invalid_bandwidth_rejected(self):

@@ -1,11 +1,15 @@
-"""Engine-adapter parity: the seam must not change a single bit.
+"""Engine parity: every backend against independent golden references.
 
-Three families of guarantees, mirroring the paper's simulator-versus-golden
+Four families of guarantees, mirroring the paper's simulator-versus-golden
 validation flow:
 
-* the ``"functional"`` and ``"cycle"`` adapters reproduce the legacy
-  :class:`FunctionalEIE` / :class:`CycleAccurateEIE` results bit-for-bit
-  (property-tested over random sparse layers and activations);
+* the ``"functional"`` engine reproduces a column-order accumulation of the
+  decoded weights over the non-zero activations bit-for-bit, and its
+  broadcast count, access counters and per-PE load equal what the
+  interleaved CSC storage dictates (property-tested over random sparse
+  layers and activations, in float and fixed-point arithmetic);
+* the ``"cycle"`` engine reproduces :func:`simulate_layer_cycles` on the
+  layer's work matrices sliced to each vector's non-zero columns;
 * a batched ``run`` equals a loop of single-vector runs, element-wise;
 * the ``"rtl"`` adapter agrees with the functional values.
 """
@@ -17,13 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.pipeline import CompressionConfig, DeepCompressor
+from repro.compression.pipeline import CompressedLayer, CompressionConfig, DeepCompressor
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import CycleAccurateEIE, CycleStats
-from repro.core.functional import FunctionalEIE
+from repro.core.cycle_model import CycleStats, layer_work_matrices, simulate_layer_cycles
+from repro.core.functional import FunctionalResult
+from repro.core.pe import PEAccessCounters
 from repro.engine import EngineRegistry
+from repro.engine.adapters import FunctionalEngine
+from repro.nn.fixed_point import FixedPointFormat
+from repro.nn.layers import ACTIVATIONS
 
 SETTINGS = settings(max_examples=15, deadline=None)
+FIXED_POINT = FixedPointFormat(total_bits=16, fraction_bits=8)
 
 
 @st.composite
@@ -44,6 +53,93 @@ def layer_and_activations(draw):
     return layer, EIEConfig(num_pes=num_pes), activations
 
 
+def reference_counters(
+    layer: CompressedLayer, config: EIEConfig, columns: np.ndarray
+) -> tuple[PEAccessCounters, np.ndarray]:
+    """Access counters and per-PE entries implied by the CSC storage.
+
+    Every PE reads both column pointers of each broadcast column; a column
+    with entries costs one Spmat read per ``entries_per_spmat_read`` entries
+    and one codebook lookup, MAC and activation read/write per entry.
+    """
+    counters = PEAccessCounters()
+    per_pe_entries = np.zeros(layer.num_pes, dtype=np.int64)
+    zero_index = layer.codebook.zero_index
+    for pe, slice_matrix in enumerate(layer.storage.per_pe):
+        for column in columns:
+            start, end = slice_matrix.col_ptr[column], slice_matrix.col_ptr[column + 1]
+            entries = int(end - start)
+            counters.ptr_sram_reads += 2
+            if entries == 0:
+                counters.columns_skipped += 1
+                continue
+            counters.spmat_sram_reads += -(-entries // config.entries_per_spmat_read)
+            counters.codebook_lookups += entries
+            counters.macs += entries
+            counters.entries_processed += entries
+            counters.padding_entries_processed += int(
+                np.count_nonzero(slice_matrix.values[start:end] == zero_index)
+            )
+            counters.act_reg_reads += entries
+            counters.act_reg_writes += entries
+            per_pe_entries[pe] += entries
+    return counters, per_pe_entries
+
+
+def reference_functional(
+    layer: CompressedLayer,
+    config: EIEConfig,
+    activations: np.ndarray,
+    fixed_point: FixedPointFormat | None = None,
+) -> FunctionalResult:
+    """Golden functional result: the decoded weights, accumulated by column.
+
+    The LNZD network broadcasts the non-zero activations in index order and
+    every PE adds ``S[I_ij] * a_j`` into its accumulators as each column
+    arrives, so accumulating the dense decoded columns in the same order
+    reproduces the array's float sums exactly.  With a fixed-point format
+    the activations, weights, products and running sums are quantised at
+    the same points the processing element quantises them.
+    """
+    vector = np.asarray(activations, dtype=np.float64)
+    weights = layer.dense_weights()
+    if fixed_point is not None:
+        vector = fixed_point.quantize(vector)
+        weights = fixed_point.quantize(weights)
+    columns = np.flatnonzero(vector)
+    pre_activation = np.zeros(layer.rows, dtype=np.float64)
+    for column in columns:
+        contribution = weights[:, column] * vector[column]
+        if fixed_point is not None:
+            contribution = fixed_point.quantize(contribution)
+        pre_activation = pre_activation + contribution
+        if fixed_point is not None:
+            pre_activation = fixed_point.quantize(pre_activation)
+    counters, per_pe_entries = reference_counters(layer, config, columns)
+    return FunctionalResult(
+        output=ACTIVATIONS[layer.activation_name](pre_activation),
+        pre_activation=pre_activation,
+        broadcasts=int(columns.shape[0]),
+        columns_total=int(vector.shape[0]),
+        counters=counters,
+        per_pe_entries=per_pe_entries,
+    )
+
+
+def reference_cycles(
+    layer: CompressedLayer, config: EIEConfig, activations: np.ndarray
+) -> CycleStats:
+    """Golden timing: the recurrence on the work of the non-zero columns."""
+    columns = np.nonzero(np.asarray(activations, dtype=np.float64))[0]
+    counts, padding = layer_work_matrices(layer)
+    return simulate_layer_cycles(
+        work=counts[:, columns],
+        fifo_depth=config.fifo_depth,
+        padding_work=padding[:, columns],
+        clock_mhz=config.clock_mhz,
+    )
+
+
 def assert_cycle_stats_equal(ours: CycleStats, legacy: CycleStats) -> None:
     assert ours.total_cycles == legacy.total_cycles
     assert np.array_equal(ours.busy_cycles, legacy.busy_cycles)
@@ -56,6 +152,14 @@ def assert_cycle_stats_equal(ours: CycleStats, legacy: CycleStats) -> None:
     assert ours.clock_mhz == legacy.clock_mhz
 
 
+def assert_functional_equal(ours: FunctionalResult, reference: FunctionalResult) -> None:
+    assert np.array_equal(ours.output, reference.output)
+    assert np.array_equal(ours.pre_activation, reference.pre_activation)
+    assert ours.broadcasts == reference.broadcasts
+    assert ours.counters == reference.counters
+    assert np.array_equal(ours.per_pe_entries, reference.per_pe_entries)
+
+
 class TestFunctionalParity:
     @SETTINGS
     @given(case=layer_and_activations())
@@ -63,20 +167,25 @@ class TestFunctionalParity:
         layer, config, activations = case
         engine = EngineRegistry.create("functional", config)
         result = engine.run(engine.prepare(layer), activations)
-        legacy = FunctionalEIE(layer, config)
         for row, ours in zip(activations, result.functional):
-            reference = legacy.run(row)
-            assert np.array_equal(ours.output, reference.output)
-            assert np.array_equal(ours.pre_activation, reference.pre_activation)
-            assert ours.broadcasts == reference.broadcasts
-            assert ours.counters == reference.counters
-            assert np.array_equal(ours.per_pe_entries, reference.per_pe_entries)
+            assert_functional_equal(ours, reference_functional(layer, config, row))
+
+    @SETTINGS
+    @given(case=layer_and_activations())
+    def test_fixed_point_engine_matches_reference_bit_for_bit(self, case):
+        layer, config, activations = case
+        engine = FunctionalEngine(config, fixed_point=FIXED_POINT)
+        result = engine.run(engine.prepare(layer), activations)
+        for row, ours in zip(activations, result.functional):
+            assert_functional_equal(
+                ours, reference_functional(layer, config, row, fixed_point=FIXED_POINT)
+            )
 
     def test_fixture_layer_matches(self, compressed_layer, small_config, dense_activations):
         engine = EngineRegistry.create("functional", small_config)
         result = engine.run(engine.prepare(compressed_layer), dense_activations)
-        legacy = FunctionalEIE(compressed_layer, small_config).run(dense_activations)
-        assert np.array_equal(result.output, legacy.output)
+        reference = reference_functional(compressed_layer, small_config, dense_activations)
+        assert np.array_equal(result.output, reference.output)
 
 
 class TestCycleParity:
@@ -86,17 +195,14 @@ class TestCycleParity:
         layer, config, activations = case
         engine = EngineRegistry.create("cycle", config)
         result = engine.run(engine.prepare(layer), activations)
-        legacy = CycleAccurateEIE(config)
         for row, ours in zip(activations, result.cycles):
-            assert_cycle_stats_equal(ours, legacy.simulate_layer(layer, row))
+            assert_cycle_stats_equal(ours, reference_cycles(layer, config, row))
 
     def test_fixture_layer_matches(self, compressed_layer, small_config, dense_activations):
         engine = EngineRegistry.create("cycle", small_config)
         result = engine.run(engine.prepare(compressed_layer), dense_activations)
         assert_cycle_stats_equal(
-            result.stats, CycleAccurateEIE(small_config).simulate_layer(
-                compressed_layer, dense_activations
-            )
+            result.stats, reference_cycles(compressed_layer, small_config, dense_activations)
         )
 
 
@@ -165,9 +271,7 @@ class TestNativeCycleParity:
         native = EngineRegistry.create("cycle-native", small_config)
         result = native.run(native.prepare(compressed_layer), dense_activations)
         assert_cycle_stats_equal(
-            result.stats, CycleAccurateEIE(small_config).simulate_layer(
-                compressed_layer, dense_activations
-            )
+            result.stats, reference_cycles(compressed_layer, small_config, dense_activations)
         )
 
 

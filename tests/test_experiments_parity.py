@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.roofline import RooflinePlatform
+from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
 from repro.cli import main
 from repro.core.config import EIEConfig
 from repro.engine import EngineRegistry
@@ -76,14 +78,27 @@ class TestLegacyFunctionParity:
         assert run_experiment("table3_benchmarks").records == table3_rows()
 
     def test_table4_matches_legacy_rows(self, builder, subset):
-        from repro.analysis.tables import table4_rows
-
+        """Every Table IV cell recomputed: roofline platforms and EIE workloads."""
         config = EIEConfig(num_pes=16)
-        legacy = table4_rows(subset, builder=builder, eie_config=config)
         result = run_experiment(
             "table4_wallclock", builder=builder, workloads=subset, config={"num_pes": 16}
         )
-        assert result.records == legacy
+        rows = {(row["platform"], row["batch"], row["kernel"]): row for row in result.records}
+        assert len(rows) == len(result.records) == 14
+        platforms = {
+            "CPU": RooflinePlatform(CPU_CORE_I7_5930K),
+            "GPU": RooflinePlatform(GPU_TITAN_X),
+            "mGPU": RooflinePlatform(MOBILE_GPU_TEGRA_K1),
+        }
+        for spec in subset:
+            for name, platform in platforms.items():
+                for batch in (1, 64):
+                    for kernel in ("dense", "sparse"):
+                        time_s = platform.time_s(spec, compressed=(kernel == "sparse"), batch=batch)
+                        assert rows[(name, batch, kernel)][spec.name] == time_s * 1e6
+            stats = WorkloadBuilder().build(spec, config.num_pes).simulate(config)
+            assert rows[("EIE", 1, "theoretical")][spec.name] == stats.theoretical_time_s * 1e6
+            assert rows[("EIE", 1, "actual")][spec.name] == stats.time_s * 1e6
 
 
 class TestCliParity:

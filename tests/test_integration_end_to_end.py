@@ -8,8 +8,10 @@ import pytest
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K
 from repro.compression import CompressionConfig, DeepCompressor
-from repro.core import CycleAccurateEIE, EIEAccelerator, EIEConfig, FunctionalEIE
+from repro.core import EIEConfig
+from repro.engine import EngineRegistry, Session
 from repro.hardware.area import chip_power_w
+from repro.models.ir import ModelIR
 from repro.nn.layers import FullyConnectedLayer
 from repro.nn.model import FeedForwardNetwork
 from repro.workloads.benchmarks import get_benchmark
@@ -26,38 +28,40 @@ class TestCompressedNetworkEndToEnd:
         return build_alexnet_fc_network(scale=96)
 
     @pytest.fixture(scope="class")
-    def accelerator(self, network):
-        config = EIEConfig(num_pes=8)
-        accelerator = EIEAccelerator(config, CompressionConfig())
-        for layer in network.layers:
-            accelerator.compress_and_load(layer.weight, name=layer.name,
-                                          activation_name=layer.activation)
-        return accelerator
+    def session(self):
+        return Session(CompressionConfig(), config=EIEConfig(num_pes=8))
 
-    def test_eie_matches_compressed_software_network(self, network, accelerator):
+    @pytest.fixture(scope="class")
+    def compressed(self, network, session):
+        return session.compress_model(ModelIR.from_network(network), num_pes=8)
+
+    def test_eie_matches_compressed_software_network(self, network, session, compressed):
         rng = np.random.default_rng(11)
         inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
         # The software reference runs the *decoded* compressed weights.
         reference = inputs
-        for compressed, layer in zip(accelerator.layers, network.layers):
-            pre = compressed.dense_weights() @ reference
+        for compressed_layer, layer in zip(compressed.layers.values(), network.layers):
+            pre = compressed_layer.dense_weights() @ reference
             reference = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-        results = accelerator.run(inputs)
-        assert np.allclose(results[-1].output, reference)
+        run = session.run_model("functional", compressed, inputs)
+        assert np.allclose(run.nodes[-1].result.output, reference)
 
-    def test_relu_sparsity_reduces_downstream_work(self, accelerator, network):
+    def test_relu_sparsity_reduces_downstream_work(self, session, compressed, network):
         rng = np.random.default_rng(12)
         inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
-        results = accelerator.run(inputs)
+        run = session.run_model("functional", compressed, inputs)
+        first, second = run.nodes[0], run.nodes[1]
         # The second layer must broadcast no more activations than the first
         # layer produced non-zero outputs.
-        assert results[1].broadcasts == np.count_nonzero(results[0].output)
+        assert second.result.functional[0].broadcasts == np.count_nonzero(
+            run.node_outputs[first.name]
+        )
 
-    def test_compression_accuracy_close_to_dense(self, network, accelerator):
+    def test_compression_accuracy_close_to_dense(self, network, session, compressed):
         rng = np.random.default_rng(13)
         inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
         dense_out = network.forward(inputs)
-        eie_out = accelerator.run(inputs)[-1].output
+        eie_out = session.run_model("functional", compressed, inputs).nodes[-1].result.output
         # Weight sharing introduces bounded error; outputs stay correlated.
         if np.linalg.norm(dense_out) > 0:
             correlation = float(
@@ -79,8 +83,12 @@ class TestBenchmarkPipelineSmallScale:
         weights = generate_dense_weights(spec)
         layer = DeepCompressor().compress(weights, num_pes=config.num_pes, name=spec.name)
         activations = generate_activations(spec.cols, spec.activation_density, rng=3)
-        functional = FunctionalEIE(layer, config).run(activations)
-        cycle = CycleAccurateEIE(config).simulate_layer(layer, activations)
+        functional_engine = EngineRegistry.create("functional", config)
+        functional = functional_engine.run(
+            functional_engine.prepare(layer), activations
+        ).functional[0]
+        cycle_engine = EngineRegistry.create("cycle", config)
+        cycle = cycle_engine.run(cycle_engine.prepare(layer), activations).stats
         assert functional.total_entries_processed == cycle.entries_processed
         assert functional.broadcasts == cycle.broadcasts
 
@@ -107,12 +115,15 @@ class TestMultiLayerNetworkConsistency:
         weights2 = rng.normal(size=(16, 32)) * (rng.random((16, 32)) < 0.2)
         weights1[0, 0] = weights2[0, 0] = 0.3
         inputs = rng.uniform(0, 1, size=48)
+        model = ModelIR.from_network(FeedForwardNetwork([
+            FullyConnectedLayer(weight=weights1, name="fc1"),
+            FullyConnectedLayer(weight=weights2, name="fc2"),
+        ]))
         outputs = []
         for num_pes in (1, 2, 8):
-            accelerator = EIEAccelerator(EIEConfig(num_pes=num_pes))
-            accelerator.compress_and_load(weights1, name="fc1")
-            accelerator.compress_and_load(weights2, name="fc2")
-            outputs.append(accelerator.run(inputs)[-1].output)
+            config = EIEConfig(num_pes=num_pes)
+            run = Session(config=config).run_model("functional", model, inputs)
+            outputs.append(run.nodes[-1].result.output)
         assert np.allclose(outputs[0], outputs[1])
         assert np.allclose(outputs[0], outputs[2])
 
@@ -126,10 +137,8 @@ class TestMultiLayerNetworkConsistency:
         for layer in layers:
             layer.weight[0, 0] = 0.4
         network = FeedForwardNetwork(layers)
-        accelerator = EIEAccelerator(EIEConfig(num_pes=4))
-        for layer in network.layers:
-            accelerator.compress_and_load(layer.weight, name=layer.name,
-                                          activation_name=layer.activation)
-        assert len(accelerator.layers) == len(network.layers)
-        assert accelerator.layers[0].cols == network.input_size
-        assert accelerator.layers[-1].rows == network.output_size
+        compressed = Session().compress_model(ModelIR.from_network(network), num_pes=4)
+        compressed_layers = list(compressed.layers.values())
+        assert len(compressed_layers) == len(network.layers)
+        assert compressed_layers[0].cols == network.input_size
+        assert compressed_layers[-1].rows == network.output_size

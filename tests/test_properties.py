@@ -26,7 +26,7 @@ from repro.compression.pipeline import DeepCompressor
 from repro.compression.quantization import WeightCodebook
 from repro.core.config import EIEConfig
 from repro.core.cycle_model import simulate_layer_cycles
-from repro.core.functional import FunctionalEIE
+from repro.engine import EngineRegistry
 from repro.nn.fixed_point import FixedPointFormat
 
 # Keep hypothesis runs quick but meaningful.
@@ -98,10 +98,10 @@ class TestFunctionalEquivalenceProperties:
         rng = np.random.default_rng(activation_seed)
         activations = rng.uniform(0.1, 1.0, size=matrix.shape[1])
         activations[rng.random(matrix.shape[1]) >= activation_density] = 0.0
-        config = EIEConfig(num_pes=num_pes)
-        result = FunctionalEIE(layer, config).run(activations, apply_nonlinearity=False)
+        engine = EngineRegistry.create("functional", EIEConfig(num_pes=num_pes))
+        result = engine.run(engine.prepare(layer), activations).functional[0]
         expected = layer.dense_weights() @ activations
-        assert np.allclose(result.output, expected, atol=1e-9)
+        assert np.allclose(result.pre_activation, expected, atol=1e-9)
 
     @SETTINGS
     @given(
@@ -114,8 +114,8 @@ class TestFunctionalEquivalenceProperties:
         outputs = []
         for num_pes in pe_counts:
             layer = DeepCompressor().compress(matrix, num_pes=num_pes, name="prop")
-            result = FunctionalEIE(layer, EIEConfig(num_pes=num_pes)).run(activations)
-            outputs.append(result.output)
+            engine = EngineRegistry.create("functional", EIEConfig(num_pes=num_pes))
+            outputs.append(engine.run(engine.prepare(layer), activations).output)
         for other in outputs[1:]:
             assert np.allclose(outputs[0], other)
 

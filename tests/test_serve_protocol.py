@@ -22,6 +22,7 @@ from repro.errors import (
 )
 from repro.models import build_model, synthetic_model_inputs
 from repro.serve import AsyncServeClient, BatchPolicy, Server, start_daemon
+from repro.serve.protocol import _handle_message
 
 CONFIG = EIEConfig(num_pes=8)
 
@@ -478,3 +479,25 @@ class TestErrorPayloadDecoding:
         )
         assert type(decoded) is ServeError
         assert "weird" in str(decoded)
+
+
+class TestCancellation:
+    def test_cancelled_infer_propagates_instead_of_replying(self):
+        """A cancelled request task stops; it must not turn into an error reply."""
+
+        class StalledServer:
+            async def submit(self, model, vector, deadline_s=None):
+                await asyncio.Event().wait()
+
+        async def drive():
+            task = asyncio.create_task(
+                _handle_message(
+                    StalledServer(), {"id": 1, "op": "infer", "model": "m", "input": [1.0]}
+                )
+            )
+            await asyncio.sleep(0.01)  # the request is now awaiting its batch
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(drive())

@@ -11,6 +11,7 @@ least 3x the throughput of batch-1 dispatch on the same engine.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.errors import (
 )
 from repro.models import build_model, synthetic_model_inputs
 from repro.serve import BatchPolicy, Server
+from repro.serve.server import _PendingRequest
 
 CONFIG = EIEConfig(num_pes=8)
 N_REQUESTS = 12
@@ -354,5 +356,37 @@ class TestDeadlinesHealthAndChaos:
             async with Server([model], config=CONFIG, chaos=True) as server:
                 with pytest.raises(ServeError, match=">= 0"):
                     server.inject_chaos(-0.1, 1.0)
+
+        asyncio.run(drive())
+
+
+class TestCancellation:
+    def test_cancelled_dispatch_fails_batch_and_propagates(self, model):
+        """Cancelling a dispatch mid-run fails its requests, then re-raises."""
+
+        async def drive():
+            async with Server([model], config=CONFIG, pipeline=False) as server:
+                running, release = threading.Event(), threading.Event()
+
+                def stalled_run_model(*args, **kwargs):
+                    running.set()
+                    release.wait(timeout=30)
+
+                server.session.run_model = stalled_run_model
+                future = asyncio.get_running_loop().create_future()
+                vector = synthetic_model_inputs(model, batch=1, seed=3)[0]
+                task = asyncio.create_task(
+                    server._dispatch(
+                        server._models[model.name], [_PendingRequest(vector, future)]
+                    )
+                )
+                try:
+                    assert await asyncio.to_thread(running.wait, 10)
+                    task.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await task
+                    assert isinstance(future.exception(), ServeError)
+                finally:
+                    release.set()
 
         asyncio.run(drive())
