@@ -6,10 +6,10 @@ The paper's NT benchmarks come from NeuralTalk: a word-embedding matrix
 example lowers a scaled-down NeuralTalk decoder through the whole-network
 model layer (``repro.models``):
 
-* the LSTM step becomes a :class:`ModelIR` — the ``stacked`` lowering (the
-  paper's 1201 x 2400 NT-LSTM view) drives the caption-generation loop, and
-  the ``per_gate`` lowering reports per-gate cycle statistics with one
-  ``Session.run_model`` call;
+* the LSTM step is the catalog's ``neuraltalk_lstm`` :class:`ModelIR` —
+  the ``stacked`` mode (the paper's 1201 x 2400 NT-LSTM view) drives the
+  caption-generation loop, and the ``per_gate`` mode reports per-gate cycle
+  statistics with one ``Session.run_model`` call;
 * software applies the gate non-linearities between EIE M x V calls, exactly
   as the paper describes;
 * the full-scale NT layer latencies close the loop at the end.
@@ -27,12 +27,10 @@ import numpy as np
 from repro import EIEConfig, Session
 from repro.analysis.report import format_table
 from repro.hardware.area import chip_power_w
-from repro.models import MatVecNode, ModelIR
+from repro.models import MatVecNode, ModelIR, build_model
 from repro.nn.layers import sigmoid, tanh
-from repro.nn.lstm import LSTMState
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.generator import WorkloadBuilder
-from repro.workloads.models import build_neuraltalk_lstm
 
 NUM_PES = 32        # the paper notes small NT matrices run best on <= 32 PEs
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "8"))
@@ -43,12 +41,12 @@ VOCABULARY = 64
 def run_captioning_demo(session: Session) -> ModelIR:
     """Generate a short 'caption' (token ids) with the compressed LSTM on EIE."""
     rng = np.random.default_rng(5)
-    cell = build_neuraltalk_lstm(scale=SCALE)
 
     # The stacked lowering computes all eight gate products as one M x V per
     # step (the NT-LSTM benchmark view); the decoder is a one-node chain.
-    lstm_model = ModelIR.from_lstm(cell, mode="stacked", name="nt-lstm")
-    decoder_weights = rng.normal(0.0, 0.2, size=(VOCABULARY, cell.hidden_size))
+    lstm_model = build_model("neuraltalk_lstm", scale=SCALE, params={"mode": "stacked"})
+    hidden_size = lstm_model.metadata["hidden_size"]
+    decoder_weights = rng.normal(0.0, 0.2, size=(VOCABULARY, hidden_size))
     decoder_weights[rng.random(decoder_weights.shape) >= 0.11] = 0.0
     decoder_weights[0, 0] = 0.2
     # A single identity M x V node: logits = W_d h.
@@ -56,16 +54,16 @@ def run_captioning_demo(session: Session) -> ModelIR:
         [MatVecNode(name="NT-Wd", weight=decoder_weights, activation="identity")],
         name="nt-decoder",
     )
-    embedding = rng.normal(0.0, 0.3, size=(VOCABULARY, cell.input_size))
+    embedding = rng.normal(0.0, 0.3, size=(VOCABULARY, lstm_model.metadata["input_size"]))
 
-    state = LSTMState.zeros(cell.hidden_size)
+    hidden = np.zeros(hidden_size)
+    cell = np.zeros(hidden_size)
     token = 0
     caption = [token]
     total_entries = 0
-    hidden = cell.hidden_size
     for _ in range(SEQUENCE_LENGTH):
         inputs = embedding[token]
-        stacked_input = np.concatenate([inputs, state.hidden])
+        stacked_input = np.concatenate([inputs, hidden])
         # One EIE M x V computes all eight gate products on the stacked matrix.
         gates = session.run_model("functional", lstm_model, stacked_input)
         total_entries += sum(
@@ -73,14 +71,11 @@ def run_captioning_demo(session: Session) -> ModelIR:
         )
         # Software applies the LSTM non-linearities (EIE handles M x V only).
         pre = gates.output
-        input_gate = sigmoid(pre[0 * hidden: 1 * hidden])
-        forget_gate = sigmoid(pre[1 * hidden: 2 * hidden])
-        output_gate = sigmoid(pre[2 * hidden: 3 * hidden])
-        candidate = tanh(pre[3 * hidden: 4 * hidden])
-        new_cell = forget_gate * state.cell + input_gate * candidate
-        state = LSTMState(hidden=output_gate * tanh(new_cell), cell=new_cell)
+        input_gate, forget_gate, output_gate, candidate = np.split(pre, 4)
+        cell = sigmoid(forget_gate) * cell + sigmoid(input_gate) * tanh(candidate)
+        hidden = sigmoid(output_gate) * tanh(cell)
         # Decoder M x V produces the vocabulary logits; pick the next token.
-        logits = session.run_model("functional", decoder_model, state.hidden)
+        logits = session.run_model("functional", decoder_model, hidden)
         total_entries += sum(
             f.total_entries_processed for f in logits.nodes[0].result.functional
         )
@@ -94,7 +89,7 @@ def run_captioning_demo(session: Session) -> ModelIR:
     print(f"decoder matrix       : {decoder_weights.shape[0]} x {decoder_weights.shape[1]}")
     print(f"generated token ids  : {caption}")
     print(f"EIE entries processed: {total_entries}")
-    return ModelIR.from_lstm(cell, mode="per_gate", name="nt-lstm-gates")
+    return build_model("neuraltalk_lstm", scale=SCALE, params={"mode": "per_gate"})
 
 
 def report_per_gate_timing(session: Session, per_gate_model: ModelIR) -> None:

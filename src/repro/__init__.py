@@ -77,7 +77,6 @@ from repro.models import (
     build_model,
     register_model,
 )
-from repro.nn import FeedForwardNetwork, FullyConnectedLayer, LSTMCell
 from repro.reliability import (
     FaultConfig,
     inject_layer_faults,
@@ -112,12 +111,9 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentSpec",
     "FaultConfig",
-    "FeedForwardNetwork",
-    "FullyConnectedLayer",
     "FunctionalResult",
     "HuffmanCode",
     "InterleavedCSC",
-    "LSTMCell",
     "LayerSpec",
     "MatVecNode",
     "ModelIR",

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.ir import MatVecNode, ModelIR
 from repro.nn.fixed_point import FixedPointFormat
-from repro.nn.layers import FullyConnectedLayer
-from repro.nn.model import FeedForwardNetwork
 
 __all__ = ["FLOAT32_REFERENCE_ACCURACY"]
 
@@ -23,32 +22,33 @@ FLOAT32_REFERENCE_ACCURACY = 0.803
 
 def _build_proxy_classifier(
     input_size: int, hidden_size: int, classes: int, rng: np.random.Generator
-) -> FeedForwardNetwork:
+) -> ModelIR:
     """A small FC classifier standing in for the AlexNet FC stack."""
-    hidden = FullyConnectedLayer(
+    hidden = MatVecNode(
+        name="proxy-hidden",
         weight=rng.normal(0.0, 0.12, size=(hidden_size, input_size)),
         activation="relu",
-        name="proxy-hidden",
     )
-    logits = FullyConnectedLayer(
+    logits = MatVecNode(
+        name="proxy-logits",
         weight=rng.normal(0.0, 0.12, size=(classes, hidden_size)),
         activation="identity",
-        name="proxy-logits",
+        source=hidden.name,
     )
-    return FeedForwardNetwork([hidden, logits], name="precision-proxy")
+    return ModelIR([hidden, logits], name="precision-proxy")
 
 
 def _quantized_forward(
-    network: FeedForwardNetwork, inputs: np.ndarray, fmt: FixedPointFormat | None
+    model: ModelIR, inputs: np.ndarray, fmt: FixedPointFormat | None
 ) -> np.ndarray:
     """Forward pass with weights and activations quantised to ``fmt``."""
     current = inputs if fmt is None else fmt.quantize(inputs)
-    for layer in network.layers:
-        weight = layer.weight if fmt is None else fmt.quantize(layer.weight)
+    for node in model.nodes:
+        weight = node.weight if fmt is None else fmt.quantize(node.weight)
         pre = weight @ current
         if fmt is not None:
             pre = fmt.quantize(pre)
-        if layer.activation == "relu":
+        if node.activation == "relu":
             current = np.maximum(pre, 0.0)
         else:
             current = pre

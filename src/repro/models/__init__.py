@@ -1,21 +1,20 @@
 """repro.models: the whole-network model layer.
 
 The third seam of the library (after :mod:`repro.engine` and
-:mod:`repro.experiments`): a canonical model IR plus registry that lowers any
+:mod:`repro.experiments`): a canonical model IR plus registry that describes any
 supported network — FC tails, LSTM gate stacks, convolutions via im2col,
-imported ``.npz`` state dicts — to an ordered graph of matrix-vector nodes
+imported ``.npz`` state dicts — as an ordered graph of matrix-vector nodes
 the compression pipeline and every simulation engine already understand.
 
 * :class:`ModelIR` / :class:`MatVecNode` — the IR and its lowering
-  constructors (``from_network`` / ``from_lstm`` / ``from_conv`` /
-  ``from_npz``) (:mod:`repro.models.ir`);
+  constructors (``from_conv`` / ``from_npz``) (:mod:`repro.models.ir`);
 * :class:`ModelSpec` — frozen, JSON-round-tripping build description,
   mirroring :class:`~repro.experiments.spec.ExperimentSpec`
   (:mod:`repro.models.spec`);
 * :class:`ModelRegistry` — string-keyed registry pre-populated with the
   paper's networks (``alexnet_fc``, ``vgg_fc``, ``neuraltalk_lstm``) at
-  Table III densities (:mod:`repro.models.registry`,
-  :mod:`repro.models.catalog`);
+  Table III densities, which the catalog builds straight into IR nodes
+  (:mod:`repro.models.registry`, :mod:`repro.models.catalog`);
 * :class:`CompressedModel` / :class:`ModelRunResult` — what
   ``Session.compress_model`` and ``Session.run_model`` return
   (:mod:`repro.models.compressed`).

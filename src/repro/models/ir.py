@@ -10,19 +10,10 @@ ordered list of :class:`MatVecNode` objects, each carrying a dense weight
 matrix, an activation function, and edge wiring (which earlier node — or the
 model input — feeds it, optionally through a slice).
 
-Lowering rules (the ``from_*`` constructors):
+Nodes are built directly (the built-in catalog in :mod:`repro.models.catalog`
+emits its FC tails and LSTM gate nodes this way) or by the ``from_*``
+constructors:
 
-* ``from_network`` — each :class:`~repro.nn.model.FeedForwardNetwork` layer
-  becomes one node chained onto the previous layer's output.
-* ``from_lstm`` — one time step of an :class:`~repro.nn.lstm.LSTMCell` over
-  the concatenated ``[x_t, h_{t-1}]`` input vector.  ``mode="per_gate"``
-  lowers each gate to one node with the ``[W_gate | U_gate]`` block matrix
-  (``W g x + U g h`` as a single M x V, four nodes total, matching the
-  layer-at-a-time gate runs); ``mode="stacked"`` stacks all gates into the
-  single ``(4*hidden, input+hidden)`` matrix of the paper's NT-LSTM
-  benchmark row.  Gate non-linearities are *not* part of the nodes (EIE
-  computes M x V only; the sigmoids/tanh run in software), so every LSTM
-  node uses the identity activation.
 * ``from_conv`` — an im2col lowering: the ``(C_out, C_in, kh, kw)`` kernel
   bank becomes one ``(C_out, C_in*kh*kw)`` node and every output position's
   receptive field is one activation vector (use :func:`conv_activation_batch`
@@ -44,9 +35,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.convolution import im2col
-from repro.nn.layers import ACTIVATIONS, FullyConnectedLayer
-from repro.nn.lstm import LSTM_GATE_NAMES, LSTMCell
-from repro.nn.model import FeedForwardNetwork
+from repro.nn.layers import ACTIVATIONS
 from repro.utils.validation import require_matrix, require_vector
 
 __all__ = ["INPUT", "MatVecNode", "ModelTrace", "ModelIR", "conv_activation_batch"]
@@ -429,89 +418,6 @@ class ModelIR:
         return self.forward(inputs)
 
     # -- lowering constructors ------------------------------------------------------
-
-    @classmethod
-    def from_network(cls, network: FeedForwardNetwork, name: str | None = None,
-                     input_density: float = 1.0) -> "ModelIR":
-        """Lower a sequential :class:`FeedForwardNetwork` to a node chain."""
-        nodes: list[MatVecNode] = []
-        previous = INPUT
-        seen: dict[str, int] = {}
-        for layer in network.layers:
-            node_name = layer.name
-            count = seen.get(node_name, 0)
-            seen[node_name] = count + 1
-            if count:
-                node_name = f"{node_name}#{count + 1}"
-            nodes.append(
-                MatVecNode(
-                    name=node_name,
-                    weight=layer.weight,
-                    activation=layer.activation,
-                    bias=layer.bias,
-                    source=previous,
-                )
-            )
-            previous = node_name
-        return cls(
-            nodes,
-            name=name or network.name,
-            input_density=input_density,
-            metadata={"lowered_from": "FeedForwardNetwork"},
-        )
-
-    @classmethod
-    def from_lstm(cls, cell: LSTMCell, mode: str = "per_gate",
-                  name: str = "lstm", input_density: float = 1.0) -> "ModelIR":
-        """Lower one LSTM time step over the concatenated ``[x, h]`` input.
-
-        ``mode="per_gate"`` emits one node per gate whose matrix is the
-        ``[W_gate | U_gate]`` block (``W x + U h`` as a single M x V over the
-        concatenated input) — four nodes whose *set* of weights is exactly
-        ``cell.matrices()``.  ``mode="stacked"`` emits a single node with
-        ``cell.stacked_matrix()``, the NT-LSTM benchmark view.  All nodes use
-        the identity activation: EIE computes the gate pre-activations and
-        software applies the LSTM non-linearities.
-        """
-        if mode == "per_gate":
-            nodes = [
-                MatVecNode(
-                    name=f"gate_{gate}",
-                    weight=cell.gate_matrix(gate),
-                    activation="identity",
-                    bias=cell.biases[gate],
-                    source=INPUT,
-                    metadata={"gate": gate},
-                )
-                for gate in LSTM_GATE_NAMES
-            ]
-        elif mode == "stacked":
-            bias = np.concatenate([cell.biases[gate] for gate in LSTM_GATE_NAMES])
-            nodes = [
-                MatVecNode(
-                    name="gates_stacked",
-                    weight=cell.stacked_matrix(),
-                    activation="identity",
-                    bias=bias,
-                    source=INPUT,
-                    metadata={"gates": list(LSTM_GATE_NAMES)},
-                )
-            ]
-        else:
-            raise ConfigurationError(
-                f"unknown LSTM lowering mode {mode!r}; expected 'per_gate' or 'stacked'"
-            )
-        return cls(
-            nodes,
-            name=name,
-            input_density=input_density,
-            metadata={
-                "lowered_from": "LSTMCell",
-                "mode": mode,
-                "input_size": cell.input_size,
-                "hidden_size": cell.hidden_size,
-            },
-        )
 
     @classmethod
     def from_conv(cls, kernels: np.ndarray, height: int, width: int,

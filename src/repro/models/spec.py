@@ -11,6 +11,7 @@ way, and a stored ``model.json`` rebuilds the exact same network.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -43,6 +44,14 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not self.model or not isinstance(self.model, str):
             raise ConfigurationError("ModelSpec.model must be a non-empty string")
+        if self.seed is not None and (
+            isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+        ):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        if self.scale is not None and (
+            isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real)
+        ):
+            raise ConfigurationError(f"scale must be a number, got {self.scale!r}")
         if self.scale is not None and self.scale <= 0:
             raise ConfigurationError(f"scale must be > 0, got {self.scale}")
         object.__setattr__(self, "params", _jsonable(dict(self.params)))

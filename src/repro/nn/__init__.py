@@ -1,11 +1,12 @@
-"""Neural-network substrate: layers, models, LSTM and reference kernels.
+"""Neural-network primitives: activations, convolution lowering, fixed point.
 
-This package provides the minimal numpy-based deep-learning stack the paper's
-workloads need: fully-connected layers with ReLU (the M x V building block EIE
-accelerates), an LSTM cell decomposed into the eight matrix-vector products
-the paper describes, fixed-point quantisation used for the arithmetic
-precision study (Figure 10), and dense/sparse reference kernels that the EIE
-simulators are validated against.
+This package holds the numpy building blocks the rest of the library uses:
+the element-wise non-linearities (ReLU, sigmoid, tanh, identity) a
+:class:`~repro.models.ir.MatVecNode` applies after its M x V, the
+convolution kernels and im2col lowering of Section VII-C, fixed-point
+quantisation for the arithmetic precision study (Figure 10), and a density
+helper.  Networks themselves are described once, as
+:class:`~repro.models.ir.ModelIR` node graphs (see :mod:`repro.models`).
 """
 
 from repro.nn.convolution import (
@@ -18,23 +19,14 @@ from repro.nn.convolution import (
     winograd_multiplication_savings,
 )
 from repro.nn.fixed_point import FixedPointFormat, quantization_snr_db
-from repro.nn.layers import FullyConnectedLayer, identity, relu, sigmoid, tanh
-from repro.nn.lstm import LSTMCell, LSTMState
-from repro.nn.model import FeedForwardNetwork
-from repro.nn.reference import CSRMatrix, csr_matrix_vector, dense_matrix_vector, sparse_density
+from repro.nn.layers import identity, relu, sigmoid, tanh
+from repro.nn.reference import sparse_density
 
 __all__ = [
-    "CSRMatrix",
     "ConvWorkload",
-    "FeedForwardNetwork",
     "FixedPointFormat",
-    "FullyConnectedLayer",
-    "LSTMCell",
-    "LSTMState",
     "conv1x1_as_matvec",
     "conv2d_via_im2col",
-    "csr_matrix_vector",
-    "dense_matrix_vector",
     "direct_conv2d",
     "identity",
     "im2col",

@@ -1,20 +1,15 @@
-"""Fully-connected layers and element-wise non-linearities.
+"""Element-wise non-linearities.
 
 Equation (1) of the paper: ``b = f(W a + v)`` where ``f`` is typically ReLU.
-The dense :class:`FullyConnectedLayer` is the golden reference the EIE
-functional simulator is checked against, and is also what the CPU/GPU
-baseline timing models conceptually execute.
+EIE computes the M x V; the non-linearity ``f`` is one of :data:`ACTIVATIONS`,
+named by each :class:`~repro.models.ir.MatVecNode`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from repro.errors import ConfigurationError
-from repro.utils.validation import require_matrix, require_vector
 
 __all__ = [
     "relu",
@@ -22,7 +17,6 @@ __all__ = [
     "tanh",
     "identity",
     "ACTIVATIONS",
-    "FullyConnectedLayer",
 ]
 
 
@@ -60,84 +54,3 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": identity,
 }
 
-
-@dataclass
-class FullyConnectedLayer:
-    """A dense fully-connected layer ``b = f(W a + bias)``.
-
-    Attributes:
-        weight: weight matrix of shape ``(output_size, input_size)``.
-        bias: bias vector of shape ``(output_size,)`` or ``None`` for no bias.
-        activation: name of the non-linearity (one of :data:`ACTIVATIONS`).
-        name: optional label used in reports.
-    """
-
-    weight: np.ndarray
-    bias: np.ndarray | None = None
-    activation: str = "relu"
-    name: str = "fc"
-
-    def __post_init__(self) -> None:
-        self.weight = np.asarray(require_matrix("weight", self.weight), dtype=np.float64)
-        if self.bias is not None:
-            self.bias = np.asarray(require_vector("bias", self.bias), dtype=np.float64)
-            if self.bias.shape[0] != self.weight.shape[0]:
-                raise ConfigurationError(
-                    f"bias length {self.bias.shape[0]} does not match "
-                    f"output size {self.weight.shape[0]}"
-                )
-        if self.activation not in ACTIVATIONS:
-            raise ConfigurationError(
-                f"unknown activation {self.activation!r}; "
-                f"expected one of {sorted(ACTIVATIONS)}"
-            )
-
-    @property
-    def output_size(self) -> int:
-        """Number of output activations (matrix rows)."""
-        return self.weight.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        """Number of input activations (matrix columns)."""
-        return self.weight.shape[1]
-
-    @property
-    def num_weights(self) -> int:
-        """Number of weights in the dense matrix."""
-        return self.weight.size
-
-    @property
-    def weight_density(self) -> float:
-        """Fraction of non-zero weights."""
-        return float(np.count_nonzero(self.weight)) / max(self.weight.size, 1)
-
-    @property
-    def macs(self) -> int:
-        """Multiply-accumulate count of the dense computation."""
-        return self.weight.size
-
-    @property
-    def flops(self) -> int:
-        """Floating-point operation count (2 per weight: multiply and add)."""
-        return 2 * self.weight.size
-
-    def pre_activation(self, inputs: np.ndarray) -> np.ndarray:
-        """Return ``W a + bias`` without the non-linearity."""
-        inputs = require_vector("inputs", inputs)
-        if inputs.shape[0] != self.input_size:
-            raise ConfigurationError(
-                f"input length {inputs.shape[0]} does not match layer "
-                f"input size {self.input_size}"
-            )
-        result = self.weight @ np.asarray(inputs, dtype=np.float64)
-        if self.bias is not None:
-            result = result + self.bias
-        return result
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Compute ``f(W a + bias)``."""
-        return ACTIVATIONS[self.activation](self.pre_activation(inputs))
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)

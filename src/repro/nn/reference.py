@@ -1,38 +1,10 @@
-"""Reference dense and sparse matrix-vector kernels.
-
-These are the software kernels the baseline platforms run (dense GEMV for the
-uncompressed model, CSR-based sparse M x V for the compressed model) and the
-golden reference the EIE simulators are validated against.  They are written
-for clarity rather than speed; the vectorised numpy dense product is used as
-the ground truth everywhere.
-"""
+"""Reference helpers shared by the analysis and model code."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.utils.validation import require_matrix, require_vector
-
-__all__ = [
-    "dense_matrix_vector",
-    "CSRMatrix",
-    "csr_matrix_vector",
-    "sparse_density",
-]
-
-
-def dense_matrix_vector(weight: np.ndarray, activation: np.ndarray) -> np.ndarray:
-    """Dense ``W @ a`` used as the golden model."""
-    weight = require_matrix("weight", weight)
-    activation = require_vector("activation", activation)
-    if weight.shape[1] != activation.shape[0]:
-        raise ConfigurationError(
-            f"matrix columns {weight.shape[1]} != vector length {activation.shape[0]}"
-        )
-    return np.asarray(weight, dtype=np.float64) @ np.asarray(activation, dtype=np.float64)
+__all__ = ["sparse_density"]
 
 
 def sparse_density(array: np.ndarray) -> float:
@@ -41,79 +13,3 @@ def sparse_density(array: np.ndarray) -> float:
     if array.size == 0:
         return 0.0
     return float(np.count_nonzero(array)) / array.size
-
-
-@dataclass
-class CSRMatrix:
-    """A compressed-sparse-row matrix (the format cuSPARSE/MKL baselines use).
-
-    Attributes:
-        values: non-zero values, row-major.
-        col_indices: column index of each non-zero.
-        row_ptr: length ``rows + 1`` offsets into ``values`` per row.
-        shape: ``(rows, cols)`` of the dense matrix.
-    """
-
-    values: np.ndarray
-    col_indices: np.ndarray
-    row_ptr: np.ndarray
-    shape: tuple[int, int]
-
-    @classmethod
-    def from_dense(cls, weight: np.ndarray) -> "CSRMatrix":
-        """Build a CSR representation of ``weight``."""
-        weight = np.asarray(require_matrix("weight", weight), dtype=np.float64)
-        rows, cols = weight.shape
-        values: list[float] = []
-        col_indices: list[int] = []
-        row_ptr = np.zeros(rows + 1, dtype=np.int64)
-        for i in range(rows):
-            nonzero_cols = np.nonzero(weight[i])[0]
-            values.extend(weight[i, nonzero_cols].tolist())
-            col_indices.extend(nonzero_cols.tolist())
-            row_ptr[i + 1] = len(values)
-        return cls(
-            values=np.asarray(values, dtype=np.float64),
-            col_indices=np.asarray(col_indices, dtype=np.int64),
-            row_ptr=row_ptr,
-            shape=(rows, cols),
-        )
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored non-zeros."""
-        return int(self.values.shape[0])
-
-    @property
-    def density(self) -> float:
-        """Fraction of non-zeros relative to the dense size."""
-        rows, cols = self.shape
-        total = rows * cols
-        return self.nnz / total if total else 0.0
-
-    def to_dense(self) -> np.ndarray:
-        """Expand back to a dense matrix."""
-        rows, cols = self.shape
-        dense = np.zeros((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            start, end = self.row_ptr[i], self.row_ptr[i + 1]
-            dense[i, self.col_indices[start:end]] = self.values[start:end]
-        return dense
-
-
-def csr_matrix_vector(matrix: CSRMatrix, activation: np.ndarray) -> np.ndarray:
-    """Sparse ``W @ a`` over a CSR matrix (row-by-row dot products)."""
-    activation = np.asarray(require_vector("activation", activation), dtype=np.float64)
-    rows, cols = matrix.shape
-    if activation.shape[0] != cols:
-        raise ConfigurationError(
-            f"matrix columns {cols} != vector length {activation.shape[0]}"
-        )
-    result = np.zeros(rows, dtype=np.float64)
-    for i in range(rows):
-        start, end = matrix.row_ptr[i], matrix.row_ptr[i + 1]
-        if end > start:
-            result[i] = np.dot(
-                matrix.values[start:end], activation[matrix.col_indices[start:end]]
-            )
-    return result

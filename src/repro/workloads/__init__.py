@@ -6,6 +6,9 @@ themselves are not needed to reproduce the accelerator's behaviour — only the
 layer shapes, weight densities and activation densities matter — this package
 describes each benchmark as a :class:`~repro.workloads.benchmarks.LayerSpec`
 and generates deterministic synthetic sparsity patterns with those statistics.
+The whole networks these layers come from (the AlexNet/VGG-16 FC tails and
+the NeuralTalk LSTM) are built from the same specs and generators, straight
+into :class:`~repro.models.ir.ModelIR` nodes, by :mod:`repro.models.catalog`.
 """
 
 from repro.workloads.benchmarks import (
@@ -16,12 +19,6 @@ from repro.workloads.benchmarks import (
     scaled_benchmarks,
 )
 from repro.workloads.generator import LayerWorkload, WorkloadBuilder
-from repro.workloads.models import (
-    build_alexnet_fc_network,
-    build_neuraltalk_lstm,
-    build_vgg_fc_network,
-    random_dense_layer,
-)
 from repro.workloads.synthetic import (
     SparsePattern,
     generate_activations,
@@ -36,13 +33,9 @@ __all__ = [
     "LayerWorkload",
     "SparsePattern",
     "WorkloadBuilder",
-    "build_alexnet_fc_network",
-    "build_neuraltalk_lstm",
-    "build_vgg_fc_network",
     "generate_activations",
     "generate_dense_weights",
     "generate_sparse_pattern",
     "get_benchmark",
-    "random_dense_layer",
     "scaled_benchmarks",
 ]

@@ -11,12 +11,9 @@ from repro.compression import CompressionConfig, DeepCompressor
 from repro.core import EIEConfig
 from repro.engine import EngineRegistry, Session
 from repro.hardware.area import chip_power_w
-from repro.models.ir import ModelIR
-from repro.nn.layers import FullyConnectedLayer
-from repro.nn.model import FeedForwardNetwork
+from repro.models import MatVecNode, ModelIR, build_model
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.generator import WorkloadBuilder
-from repro.workloads.models import build_alexnet_fc_network
 from repro.workloads.synthetic import generate_activations, generate_dense_weights
 
 
@@ -24,31 +21,31 @@ class TestCompressedNetworkEndToEnd:
     """Compress a scaled AlexNet FC tail and run it on EIE end to end."""
 
     @pytest.fixture(scope="class")
-    def network(self):
-        return build_alexnet_fc_network(scale=96)
+    def model(self):
+        return build_model("alexnet_fc", scale=96)
 
     @pytest.fixture(scope="class")
     def session(self):
         return Session(CompressionConfig(), config=EIEConfig(num_pes=8))
 
     @pytest.fixture(scope="class")
-    def compressed(self, network, session):
-        return session.compress_model(ModelIR.from_network(network), num_pes=8)
+    def compressed(self, model, session):
+        return session.compress_model(model, num_pes=8)
 
-    def test_eie_matches_compressed_software_network(self, network, session, compressed):
+    def test_eie_matches_compressed_software_network(self, model, session, compressed):
         rng = np.random.default_rng(11)
-        inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
+        inputs = np.maximum(rng.normal(size=model.input_size), 0.0)
         # The software reference runs the *decoded* compressed weights.
         reference = inputs
-        for compressed_layer, layer in zip(compressed.layers.values(), network.layers):
+        for compressed_layer, node in zip(compressed.layers.values(), model.nodes):
             pre = compressed_layer.dense_weights() @ reference
-            reference = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+            reference = np.maximum(pre, 0.0) if node.activation == "relu" else pre
         run = session.run_model("functional", compressed, inputs)
         assert np.allclose(run.nodes[-1].result.output, reference)
 
-    def test_relu_sparsity_reduces_downstream_work(self, session, compressed, network):
+    def test_relu_sparsity_reduces_downstream_work(self, session, compressed, model):
         rng = np.random.default_rng(12)
-        inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
+        inputs = np.maximum(rng.normal(size=model.input_size), 0.0)
         run = session.run_model("functional", compressed, inputs)
         first, second = run.nodes[0], run.nodes[1]
         # The second layer must broadcast no more activations than the first
@@ -57,10 +54,11 @@ class TestCompressedNetworkEndToEnd:
             run.node_outputs[first.name]
         )
 
-    def test_compression_accuracy_close_to_dense(self, network, session, compressed):
+    def test_compression_accuracy_close_to_dense(self, model, session, compressed):
         rng = np.random.default_rng(13)
-        inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
-        dense_out = network.forward(inputs)
+        inputs = np.maximum(rng.normal(size=model.input_size), 0.0)
+        fc6, fc7, fc8 = (node.weight for node in model)
+        dense_out = fc8 @ np.maximum(fc7 @ np.maximum(fc6 @ inputs, 0.0), 0.0)
         eie_out = session.run_model("functional", compressed, inputs).nodes[-1].result.output
         # Weight sharing introduces bounded error; outputs stay correlated.
         if np.linalg.norm(dense_out) > 0:
@@ -115,10 +113,10 @@ class TestMultiLayerNetworkConsistency:
         weights2 = rng.normal(size=(16, 32)) * (rng.random((16, 32)) < 0.2)
         weights1[0, 0] = weights2[0, 0] = 0.3
         inputs = rng.uniform(0, 1, size=48)
-        model = ModelIR.from_network(FeedForwardNetwork([
-            FullyConnectedLayer(weight=weights1, name="fc1"),
-            FullyConnectedLayer(weight=weights2, name="fc2"),
-        ]))
+        model = ModelIR([
+            MatVecNode(name="fc1", weight=weights1),
+            MatVecNode(name="fc2", weight=weights2, source="fc1"),
+        ])
         outputs = []
         for num_pes in (1, 2, 8):
             config = EIEConfig(num_pes=num_pes)
@@ -128,17 +126,18 @@ class TestMultiLayerNetworkConsistency:
         assert np.allclose(outputs[0], outputs[2])
 
     def test_software_network_and_accelerator_share_structure(self, rng):
-        layers = [
-            FullyConnectedLayer(weight=rng.normal(size=(24, 30)) * (rng.random((24, 30)) < 0.3),
-                                activation="relu", name="a"),
-            FullyConnectedLayer(weight=rng.normal(size=(10, 24)) * (rng.random((10, 24)) < 0.3),
-                                activation="identity", name="b"),
+        weights = [
+            rng.normal(size=(24, 30)) * (rng.random((24, 30)) < 0.3),
+            rng.normal(size=(10, 24)) * (rng.random((10, 24)) < 0.3),
         ]
-        for layer in layers:
-            layer.weight[0, 0] = 0.4
-        network = FeedForwardNetwork(layers)
-        compressed = Session().compress_model(ModelIR.from_network(network), num_pes=4)
+        for weight in weights:
+            weight[0, 0] = 0.4
+        model = ModelIR([
+            MatVecNode(name="a", weight=weights[0], activation="relu"),
+            MatVecNode(name="b", weight=weights[1], activation="identity", source="a"),
+        ])
+        compressed = Session().compress_model(model, num_pes=4)
         compressed_layers = list(compressed.layers.values())
-        assert len(compressed_layers) == len(network.layers)
-        assert compressed_layers[0].cols == network.input_size
-        assert compressed_layers[-1].rows == network.output_size
+        assert len(compressed_layers) == len(weights)
+        assert compressed_layers[0].cols == weights[0].shape[1]
+        assert compressed_layers[-1].rows == weights[-1].shape[0]

@@ -13,12 +13,11 @@ from repro.models import (
     MatVecNode,
     ModelIR,
     ModelSpec,
+    build_model,
     conv_activation_batch,
 )
 from repro.nn.convolution import conv2d_via_im2col
-from repro.nn.layers import FullyConnectedLayer
-from repro.nn.lstm import LSTM_GATE_NAMES, LSTMCell, LSTMState
-from repro.nn.model import FeedForwardNetwork
+from repro.models.catalog import LSTM_GATE_NAMES
 
 
 def chain_model(rng: np.random.Generator, sizes=(12, 10, 8)) -> ModelIR:
@@ -129,6 +128,14 @@ class TestModelWiring:
         assert model.output_names == ("fc1",)
         assert model.input_size == 12 and model.output_size == 8
 
+    def test_size_properties_and_input_length(self, rng):
+        model = chain_model(rng)
+        assert len(model) == model.num_nodes == 2
+        assert [node.name for node in model] == ["fc0", "fc1"]
+        assert model.num_parameters == model.total_macs == 10 * 12 + 8 * 10
+        with pytest.raises(ConfigurationError, match="model input"):
+            model.forward(np.zeros(model.input_size + 1))
+
     def test_trace_applies_slices(self, rng):
         nodes = [
             MatVecNode(name="head", weight=rng.normal(size=(4, 3)),
@@ -183,51 +190,45 @@ class TestModelWiring:
 
 
 class TestLowering:
-    def test_from_network_matches_dense_forward(self, rng):
-        layers = [
-            FullyConnectedLayer(weight=rng.normal(size=(10, 16)), activation="relu",
-                                bias=rng.normal(size=10), name="fc6"),
-            FullyConnectedLayer(weight=rng.normal(size=(4, 10)), activation="identity",
-                                name="fc7"),
-        ]
-        network = FeedForwardNetwork(layers, name="tail")
-        model = ModelIR.from_network(network)
-        assert model.name == "tail" and model.num_nodes == 2
-        x = rng.normal(size=16)
-        assert np.allclose(model.forward(x), network.forward(x))
+    def test_catalog_fc_tail_matches_dense_composition(self, rng):
+        model = build_model("alexnet_fc", scale=96)
+        fc6, fc7, fc8 = model.nodes
+        assert [node.source for node in model] == [INPUT, fc6.name, fc7.name]
+        assert [node.activation for node in model] == ["relu", "relu", "identity"]
+        assert all(node.bias is None for node in model)
+        x = rng.normal(size=model.input_size)
+        hidden6 = np.maximum(fc6.weight @ x, 0.0)
+        hidden7 = np.maximum(fc7.weight @ hidden6, 0.0)
         trace = model.trace(x)
-        net_trace = network.trace(x)
-        assert np.allclose(trace.node_outputs["fc6"], net_trace.activations[0])
+        assert np.allclose(trace.node_outputs[fc6.name], hidden6)
+        assert np.allclose(model.forward(x), fc8.weight @ hidden7)
 
-    def test_from_network_disambiguates_duplicate_layer_names(self, rng):
-        layers = [
-            FullyConnectedLayer(weight=rng.normal(size=(8, 8)), name="fc"),
-            FullyConnectedLayer(weight=rng.normal(size=(8, 8)), name="fc"),
-        ]
-        model = ModelIR.from_network(FeedForwardNetwork(layers))
-        assert [node.name for node in model] == ["fc", "fc#2"]
-
-    def test_from_lstm_per_gate_matches_gate_pre_activations(self, rng):
-        cell = LSTMCell.random(9, 7, rng)
-        model = ModelIR.from_lstm(cell, mode="per_gate")
-        assert model.num_nodes == 4
-        x, h = rng.normal(size=9), rng.normal(size=7)
-        pre = cell.gate_pre_activations(x, LSTMState(hidden=h, cell=np.zeros(7)))
+    def test_catalog_lstm_per_gate_nodes_are_w_x_plus_u_h(self, rng):
+        model = build_model("neuraltalk_lstm", scale=32)
+        inputs = model.metadata["input_size"]
+        hidden = model.metadata["hidden_size"]
+        assert model.num_nodes == 4 and model.input_size == inputs + hidden
+        x, h = rng.normal(size=inputs), rng.normal(size=hidden)
         trace = model.trace(np.concatenate([x, h]))
         for gate in LSTM_GATE_NAMES:
-            assert np.allclose(trace.node_outputs[f"gate_{gate}"], pre[gate])
+            node = model.node(f"gate_{gate}")
+            assert node.activation == "identity"
+            assert node.metadata == {"gate": gate}
+            w, u = node.weight[:, :inputs], node.weight[:, inputs:]
+            assert np.allclose(trace.node_outputs[node.name], w @ x + u @ h)
 
-    def test_from_lstm_stacked_matches_stacked_matrix(self, rng):
-        cell = LSTMCell.random(9, 7, rng)
-        model = ModelIR.from_lstm(cell, mode="stacked")
+    def test_catalog_lstm_stacked_matches_stacked_gate_matrices(self, rng):
+        per_gate = build_model("neuraltalk_lstm", scale=32)
+        model = build_model("neuraltalk_lstm", scale=32, params={"mode": "stacked"})
         assert model.num_nodes == 1
-        x = rng.normal(size=16)
-        assert np.allclose(model.forward(x), cell.stacked_matrix() @ x)
+        assert model.nodes[0].metadata == {"gates": list(LSTM_GATE_NAMES)}
+        x = rng.normal(size=model.input_size)
+        stacked = np.vstack([node.weight for node in per_gate])
+        assert np.allclose(model.forward(x), stacked @ x)
 
-    def test_from_lstm_rejects_unknown_mode(self, rng):
-        cell = LSTMCell.random(4, 4, rng)
+    def test_catalog_lstm_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError, match="mode"):
-            ModelIR.from_lstm(cell, mode="unrolled")
+            build_model("neuraltalk_lstm", params={"mode": "unrolled"})
 
     def test_from_conv_im2col_matches_reference_conv(self, rng):
         feature_map = rng.normal(size=(5, 8, 8))
@@ -305,6 +306,22 @@ class TestModelSpec:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ConfigurationError, match="scale"):
             ModelSpec(model="alexnet_fc", scale=0)
+
+    @pytest.mark.parametrize("seed", ["7", True, 1.5])
+    def test_non_integer_seed_rejected_at_json_boundary(self, seed):
+        text = json.dumps({"model": "alexnet_fc", "seed": seed})
+        with pytest.raises(ConfigurationError, match="seed"):
+            ModelSpec.from_json(text)
+
+    @pytest.mark.parametrize("scale", ["2", True])
+    def test_non_numeric_scale_rejected_at_json_boundary(self, scale):
+        text = json.dumps({"model": "alexnet_fc", "scale": scale})
+        with pytest.raises(ConfigurationError, match="scale"):
+            ModelSpec.from_json(text)
+
+    def test_numpy_scalars_accepted(self):
+        spec = ModelSpec(model="alexnet_fc", scale=np.float64(16), seed=np.int64(3))
+        assert spec.scale == 16 and spec.seed == 3
 
     def test_merged_overlays_scalars_and_params(self):
         defaults = ModelSpec(model="m", scale=8, seed=7, params={"mode": "per_gate"})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -122,3 +123,46 @@ class TestBuiltinModels:
         assert reseeded.fingerprint() == again.fingerprint()
         # The default (no seed) keeps the benchmarks' canonical patterns.
         assert base.fingerprint() == build_model(name, scale=64).fingerprint()
+
+
+class TestGoldenFingerprints:
+    """Every built-in model's full content hash, pinned.
+
+    Weights, biases, node names, wiring and activations all feed
+    ``fingerprint()``, so these strings pin the catalog builds bit for bit.
+    """
+
+    @pytest.mark.parametrize(
+        "name, overrides, expected",
+        [
+            ("alexnet_fc", {},
+             "20a951c6d4ae4326570f2724869cf32f0529249141616e131a1a36420456d95a"),
+            ("alexnet_fc", {"scale": 1},
+             "144deaea7f722e78a25516a4101de9735241bf827f816a1ecc9a9403909a75bc"),
+            ("alexnet_fc", {"scale": 16, "seed": 3},
+             "41c13750c9069639e96102c1b2e810d84eff5dd44458c4808efea7fa43b67f90"),
+            ("vgg_fc", {},
+             "869163fdea7b152388ca6b9270b3305845070f4901570dc83a942d19f11826ec"),
+            ("vgg_fc", {"scale": 64, "seed": 5},
+             "62e675fa330f067061004b9de1096ac4cc7f3e492995192d334fadb8ead254e0"),
+            ("neuraltalk_lstm", {},
+             "efc0b9cb4b8258aa3d8c33344f8f3fdf2b0bc5e69a2b478f9c203a3df37f26cd"),
+            ("neuraltalk_lstm", {"params": {"mode": "stacked"}},
+             "b98091fcfddc04b85333c843bc3dd05324518e40d34e1849251d667d71b41363"),
+            ("neuraltalk_lstm", {"scale": 1, "seed": 2},
+             "0ef10f3bc24500bb8436bd0bbe0cfd8f04bed8fdc4986fe2abc0645be1736203"),
+        ],
+    )
+    def test_fingerprint_is_pinned(self, name, overrides, expected):
+        assert build_model(name, **overrides).fingerprint() == expected
+
+    def test_stacked_lstm_is_the_per_gate_weights_in_gate_order(self):
+        per_gate = build_model("neuraltalk_lstm")
+        stacked = build_model("neuraltalk_lstm", params={"mode": "stacked"})
+        assert [node.name for node in per_gate] == [
+            "gate_input", "gate_forget", "gate_output", "gate_cell"
+        ]
+        assert np.array_equal(
+            stacked.node("gates_stacked").weight,
+            np.vstack([node.weight for node in per_gate]),
+        )

@@ -1,4 +1,4 @@
-"""Tests for fully-connected layers and non-linearities."""
+"""Tests for the non-linearities and the dense M x V node they follow."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nn.layers import FullyConnectedLayer, identity, relu, sigmoid, tanh
+from repro.models import MatVecNode, ModelIR
+from repro.nn.layers import identity, relu, sigmoid, tanh
 
 
 class TestActivations:
@@ -32,52 +33,53 @@ class TestActivations:
         assert np.array_equal(identity(x), x)
 
 
-class TestFullyConnectedLayer:
+class TestDenseNode:
+    """A one-node model is the dense ``b = f(W a + bias)`` layer of Equation (1)."""
+
     def test_forward_matches_matmul(self):
         rng = np.random.default_rng(0)
         weight = rng.normal(size=(5, 7))
         inputs = rng.normal(size=7)
-        layer = FullyConnectedLayer(weight=weight, activation="identity")
-        assert np.allclose(layer.forward(inputs), weight @ inputs)
+        node = MatVecNode(name="fc", weight=weight, activation="identity")
+        assert np.allclose(node.forward(inputs), weight @ inputs)
 
     def test_relu_applied(self):
         weight = np.array([[1.0], [-1.0]])
-        layer = FullyConnectedLayer(weight=weight, activation="relu")
-        assert layer.forward(np.array([2.0])).tolist() == [2.0, 0.0]
+        node = MatVecNode(name="fc", weight=weight, activation="relu")
+        assert node.forward(np.array([2.0])).tolist() == [2.0, 0.0]
 
     def test_bias(self):
         weight = np.eye(3)
         bias = np.array([1.0, 2.0, 3.0])
-        layer = FullyConnectedLayer(weight=weight, bias=bias, activation="identity")
-        assert np.allclose(layer.forward(np.zeros(3)), bias)
+        node = MatVecNode(name="fc", weight=weight, bias=bias, activation="identity")
+        assert np.allclose(node.forward(np.zeros(3)), bias)
 
     def test_bias_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            FullyConnectedLayer(weight=np.eye(3), bias=np.zeros(2))
+            MatVecNode(name="fc", weight=np.eye(3), bias=np.zeros(2))
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ConfigurationError):
-            FullyConnectedLayer(weight=np.eye(2), activation="swish")
+            MatVecNode(name="fc", weight=np.eye(2), activation="swish")
 
     def test_input_length_checked(self):
-        layer = FullyConnectedLayer(weight=np.eye(3))
+        model = ModelIR([MatVecNode(name="fc", weight=np.eye(3))])
         with pytest.raises(ConfigurationError):
-            layer.forward(np.zeros(4))
+            model.forward(np.zeros(4))
 
     def test_shape_properties(self):
-        layer = FullyConnectedLayer(weight=np.zeros((4, 6)) + 1.0)
-        assert layer.output_size == 4
-        assert layer.input_size == 6
-        assert layer.num_weights == 24
-        assert layer.macs == 24
-        assert layer.flops == 48
+        node = MatVecNode(name="fc", weight=np.zeros((4, 6)) + 1.0)
+        assert node.rows == 4
+        assert node.cols == 6
+        assert node.num_weights == 24
+        assert ModelIR([node]).total_macs == 24
 
     def test_weight_density(self):
         weight = np.zeros((4, 4))
         weight[0, 0] = 1.0
-        layer = FullyConnectedLayer(weight=weight)
-        assert layer.weight_density == pytest.approx(1 / 16)
+        node = MatVecNode(name="fc", weight=weight)
+        assert node.weight_density == pytest.approx(1 / 16)
 
     def test_callable(self):
-        layer = FullyConnectedLayer(weight=np.eye(2), activation="identity")
-        assert np.allclose(layer(np.array([1.0, 2.0])), [1.0, 2.0])
+        model = ModelIR([MatVecNode(name="fc", weight=np.eye(2), activation="identity")])
+        assert np.allclose(model(np.array([1.0, 2.0])), [1.0, 2.0])

@@ -7,15 +7,12 @@ import pytest
 
 from repro.compression.csc import InterleavedCSC
 from repro.core.config import EIEConfig
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError
+from repro.models import build_model
+from repro.models.catalog import LSTM_GATE_NAMES
+from repro.nn.layers import sigmoid, tanh
 from repro.workloads.benchmarks import ALL_BENCHMARKS, BENCHMARK_NAMES, LayerSpec, get_benchmark, scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
-from repro.workloads.models import (
-    build_alexnet_fc_network,
-    build_neuraltalk_lstm,
-    build_vgg_fc_network,
-    random_dense_layer,
-)
 from repro.workloads.synthetic import (
     generate_activations,
     generate_dense_weights,
@@ -163,25 +160,30 @@ class TestWorkloadBuilder:
 
 class TestModelBuilders:
     def test_alexnet_chain_runs(self):
-        network = build_alexnet_fc_network(scale=96)
-        output = network.forward(np.random.default_rng(0).uniform(size=network.input_size))
-        assert output.shape == (network.output_size,)
+        model = build_model("alexnet_fc", scale=96)
+        output = model.forward(np.random.default_rng(0).uniform(size=model.input_size))
+        assert output.shape == (model.output_size,)
 
     def test_vgg_chain_runs(self):
-        network = build_vgg_fc_network(scale=128)
-        assert len(network) == 3
+        model = build_model("vgg_fc", scale=128)
+        assert len(model) == 3
 
     def test_neuraltalk_lstm_step(self):
-        cell = build_neuraltalk_lstm(scale=32)
-        state = cell.step(np.zeros(cell.input_size), cell.run_sequence(np.zeros((1, cell.input_size)))[0])
-        assert state.hidden.shape == (cell.hidden_size,)
+        model = build_model("neuraltalk_lstm", scale=32)
+        trace = model.trace(np.zeros(model.input_size))
+        pre = {gate: trace.node_output(f"gate_{gate}") for gate in LSTM_GATE_NAMES}
+        # Software applies the gate non-linearities to EIE's M x V outputs.
+        cell = sigmoid(pre["input"]) * tanh(pre["cell"])
+        hidden = sigmoid(pre["output"]) * tanh(cell)
+        assert hidden.shape == (model.metadata["hidden_size"],)
 
-    def test_random_dense_layer_density(self, tiny_spec):
-        layer = random_dense_layer(tiny_spec)
-        assert layer.weight_density == pytest.approx(tiny_spec.weight_density, abs=0.06)
+    def test_generate_dense_weights_density(self, tiny_spec):
+        weights = generate_dense_weights(tiny_spec)
+        density = np.count_nonzero(weights) / weights.size
+        assert density == pytest.approx(tiny_spec.weight_density, abs=0.06)
 
     def test_invalid_scale_rejected(self):
-        with pytest.raises(WorkloadError):
-            build_alexnet_fc_network(scale=0)
-        with pytest.raises(WorkloadError):
-            build_neuraltalk_lstm(scale=-1)
+        with pytest.raises(ConfigurationError):
+            build_model("alexnet_fc", scale=0)
+        with pytest.raises(ConfigurationError):
+            build_model("neuraltalk_lstm", scale=-1)
