@@ -29,7 +29,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 @pytest.fixture(scope="session")
 def builder() -> WorkloadBuilder:
-    """One workload builder (and pattern cache) for the whole benchmark run."""
+    """One workload builder (and its in-memory caches) for the whole benchmark run."""
     return WorkloadBuilder()
 
 

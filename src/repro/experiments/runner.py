@@ -8,7 +8,9 @@ into an :class:`~repro.experiments.result.ExperimentResult`:
    the experiment's sweep axes, then ``repeat`` when ``repeats > 1``);
 2. shared per-run state — one :class:`~repro.workloads.generator.WorkloadBuilder`
    and one :class:`~repro.engine.session.Session` — deduplicates workload
-   construction, compression and engine preparation across all points;
+   construction, compression and engine preparation across all points, and
+   the artifact store the session uses (if any) extends that to every runner
+   and process sharing it;
 3. points execute on one of three executor backends — ``serial`` (in
    order, one thread), ``threads`` (a thread pool when ``jobs > 1``; the
    heavy numpy kernels release the GIL) or ``processes`` (a
@@ -139,8 +141,10 @@ def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
     dictionary form, and the worker gets its own session/builder.  Cross-
     process compression reuse flows through the on-disk artifact store named
     by ``store_root`` — not through memory — which is what makes the process
-    backend scale the GIL-holding compression work.  Returns the per-point
-    record lists in chunk order; the parent reassembles them in spec order.
+    backend scale the GIL-holding compression work; built workloads are
+    shared the same way.  Returns the per-point record lists in chunk order
+    (the parent reassembles them in spec order) and the worker store's
+    per-kind counters.
     """
     experiment = ExperimentRegistry.get(payload["experiment"])
     spec = ExperimentSpec.from_dict(payload["spec"])
@@ -153,7 +157,7 @@ def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
     context = ExperimentContext(
         experiment,
         spec,
-        WorkloadBuilder(),
+        WorkloadBuilder(store=store),
         Session(store=store),
         layer_specs,
     )
@@ -163,7 +167,7 @@ def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
         if isinstance(outcome, dict):
             outcome = [outcome]
         chunk_records.append([{**point, **record} for record in outcome])
-    return chunk_records
+    return chunk_records, store.stats()["by_kind"] if store is not None else {}
 
 
 def assemble_result(
@@ -219,9 +223,11 @@ class ExperimentRunner:
     Args:
         jobs: default concurrency (``1`` = serial; ``N > 1`` runs points on a
             worker pool).  Per-call ``jobs`` overrides this.
-        builder: workload builder shared across runs (one is created if not
-            given); inject the benchmark harness's session-scoped builder to
-            share its pattern cache.
+        builder: workload builder shared across runs, used as given; inject
+            the benchmark harness's session-scoped builder to share its
+            in-memory caches.  If not given, the runner creates one on the
+            store its session uses, so runners sharing a store build each
+            (layer, PE count) workload once.
         session: engine session shared across runs (one per runner if not
             given; when ``store`` is set and no session is given, the created
             session is attached to the store).
@@ -232,7 +238,9 @@ class ExperimentRunner:
             shared through the artifact store) or ``"serial"`` (ignore
             ``jobs`` and run in order).  Per-call ``executor`` overrides it.
         store: optional :class:`~repro.store.artifacts.ArtifactStore` shared
-            by the runner's session and every process-pool worker.
+            by the runner's session, its own workload builder and every
+            process-pool worker.  Without it, an injected session's store is
+            used.
     """
 
     def __init__(
@@ -253,9 +261,14 @@ class ExperimentRunner:
         self.jobs = jobs
         self.executor = executor
         self.store = store
-        self.builder = builder or WorkloadBuilder()
         self.session = session or Session(store=store)
+        self.builder = builder or WorkloadBuilder(store=self._shared_store)
         self.registry = registry
+
+    @property
+    def _shared_store(self) -> Any | None:
+        """The store this runner's session uses: ``store=`` or the session's own."""
+        return self.store if self.store is not None else getattr(self.session, "store", None)
 
     # -- spec assembly -----------------------------------------------------------
 
@@ -439,10 +452,7 @@ class ExperimentRunner:
             per_point = [run_one(point) for point in points]
         elif executor == "processes":
             chunks = _partition_indices(len(points), jobs)
-            # Workers share whichever store this runner's session uses —
-            # whether it was passed as store= or came attached to an
-            # injected session.
-            store = self.store if self.store is not None else getattr(self.session, "store", None)
+            store = self._shared_store
             payloads = [
                 {
                     "experiment": experiment.name,
@@ -455,7 +465,12 @@ class ExperimentRunner:
             ]
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
                 per_chunk = list(pool.map(_run_points_in_subprocess, payloads))
-            per_point = [chunk_records for chunk in per_chunk for chunk_records in chunk]
+            per_point = [
+                point_records for chunk_records, _ in per_chunk for point_records in chunk_records
+            ]
+            if store is not None:
+                for _, worker_stats in per_chunk:
+                    store.add_stats(worker_stats)
         else:
             with ThreadPoolExecutor(max_workers=min(jobs, len(points))) as pool:
                 per_point = list(pool.map(run_one, points))

@@ -159,11 +159,9 @@ def _corrupt_store_file(store_root: Path, ordinal: int) -> str | None:
     store's CRC/zip validation must detect the damage on next load and
     recompute — the invariant this fault exists to test.
     """
-    files = sorted(
-        path
-        for pattern in ("layers/*.npz", "prepared/*.npz", "models/*.json", "shards/*.json")
-        for path in store_root.glob(pattern)
-    )
+    from repro.store import ArtifactStore
+
+    files = ArtifactStore(store_root).entries()
     if not files:
         return None
     target = files[ordinal % len(files)]

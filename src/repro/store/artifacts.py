@@ -14,8 +14,10 @@ The store holds four artifact *kinds*, each in its own subdirectory:
 
 * ``layers`` — per-layer compression output (codebook + per-PE CSC streams),
   the original and still the hottest kind;
-* ``prepared`` — engine-prepared layer payloads (array bundles keyed by the
-  layer content and the engine's prepare token);
+* ``workloads`` — Table III cycle-model workloads (the per-PE entry counts
+  of one layer at one PE count), published by
+  :class:`~repro.workloads.generator.WorkloadBuilder` under a key over the
+  layer spec (seed included), the PE count and the workload format;
 * ``models`` — whole compressed-model manifests: the per-node layer keys of
   one :class:`~repro.models.ir.ModelIR` at one PE count, so a warm
   ``compress_model`` is pure loads;
@@ -64,7 +66,7 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -144,10 +146,10 @@ class ArtifactStore:
     """
 
     #: Artifact kinds, each stored under ``<root>/<kind>/``.
-    KINDS = ("layers", "prepared", "models", "shards")
+    KINDS = ("layers", "workloads", "models", "shards")
 
     #: File suffix per kind (array bundles vs JSON records).
-    _SUFFIX = {"layers": ".npz", "prepared": ".npz", "models": ".json", "shards": ".json"}
+    _SUFFIX = {"layers": ".npz", "workloads": ".npz", "models": ".json", "shards": ".json"}
 
     #: Per-kind counter names tracked by :meth:`stats`.
     COUNTERS = ("hits", "misses", "stores", "errors", "evictions")
@@ -314,7 +316,7 @@ class ArtifactStore:
         self._touch(path)
         return payload
 
-    # -- array artifacts (prepared layers) -------------------------------------
+    # -- array artifacts (workloads) -------------------------------------------
 
     def store_arrays(
         self, kind: str, key: str, meta: dict, arrays: dict[str, np.ndarray]
@@ -337,8 +339,18 @@ class ArtifactStore:
             self._count(kind, "errors")
             return None
 
-    def load_arrays(self, kind: str, key: str) -> tuple[dict, dict[str, np.ndarray]] | None:
-        """Load an array bundle, or ``None`` on miss/corruption."""
+    def load_arrays(
+        self,
+        kind: str,
+        key: str,
+        check: Callable[[dict, dict[str, np.ndarray]], None] | None = None,
+    ) -> tuple[dict, dict[str, np.ndarray]] | None:
+        """Load an array bundle, or ``None`` on miss/corruption.
+
+        ``check(meta, arrays)`` may reject a readable but inconsistent entry
+        by raising; like an unreadable archive or a foreign key, that counts
+        as an error and a miss, and the entry is deleted.
+        """
         path = self._entry_path(kind, key)
         if not path.exists():
             self._count(kind, "misses")
@@ -353,6 +365,8 @@ class ArtifactStore:
                     for name in archive.files
                     if name != "meta"
                 }
+            if check is not None:
+                check(meta, arrays)
         except Exception:
             self._count(kind, "errors")
             self._count(kind, "misses")
@@ -769,7 +783,7 @@ class ArtifactStore:
 
         The aggregate ``hits``/``misses``/``stores``/``errors``/``evictions``
         keys sum over every artifact kind; ``by_kind`` breaks the same
-        counters down per kind (layers vs prepared vs models vs shards), so
+        counters down per kind (layers vs workloads vs models vs shards), so
         a sharded run can show *where* the store saved work.
         """
         aggregate = dict.fromkeys(self.COUNTERS, 0)
@@ -780,6 +794,16 @@ class ArtifactStore:
             kind: dict(counters) for kind, counters in self._stats.items()
         }
         return aggregate
+
+    def add_stats(self, by_kind: Mapping[str, Mapping[str, int]]) -> None:
+        """Fold another handle's per-kind counters (``stats()["by_kind"]``) in.
+
+        Process-pool workers open their own handles on the same root; the
+        runner adds their counters here so this handle reports the whole run.
+        """
+        for kind, counters in by_kind.items():
+            for name, value in counters.items():
+                self._count(kind, name, value)
 
     @classmethod
     def zero_stats(cls) -> dict[str, Any]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,32 @@ class TestRunnerExecution:
             grid={"width_bits": (32, 64)}, config={"num_pes": 16},
         )
         assert by_spec.records == by_kwargs.records
+
+    def test_layer_seed_is_part_of_the_workload_identity(self, subset):
+        # One runner fed two specs that differ only in seed must not serve the
+        # first seed's workloads for the second.
+        layer = subset[1]
+        reseeded = replace(layer, seed=layer.seed + 1)
+        runner = ExperimentRunner(executor="serial")
+        first = runner.run("table4_wallclock", workloads=[layer])
+        second = runner.run("table4_wallclock", workloads=[reseeded])
+        fresh = ExperimentRunner(executor="serial").run("table4_wallclock", workloads=[reseeded])
+        assert second.records == fresh.records
+        assert second.records != first.records
+
+    def test_runners_on_one_store_share_built_workloads(self, tmp_path, subset):
+        from repro.store import ArtifactStore
+
+        kwargs = dict(workloads=subset, grid={"num_pes": (2, 4)})
+        ExperimentRunner(store=ArtifactStore(tmp_path)).run("fig12_padding_zeros", **kwargs)
+        warm_store = ArtifactStore(tmp_path)
+        warm = ExperimentRunner(session=Session(store=warm_store)).run(
+            "fig13_load_balance", **kwargs
+        )
+        counters = warm_store.stats()["by_kind"]["workloads"]
+        assert counters["hits"] == 4 and counters["stores"] == 0
+        plain = ExperimentRunner().run("fig13_load_balance", **kwargs)
+        assert warm.records == plain.records
 
 
 class TestResult:

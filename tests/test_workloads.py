@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.compression.csc import InterleavedCSC
 from repro.core.config import EIEConfig
 from repro.errors import ConfigurationError, WorkloadError
+from repro.experiments import ExperimentRunner
 from repro.models import build_model
 from repro.models.catalog import LSTM_GATE_NAMES
 from repro.nn.layers import sigmoid, tanh
+from repro.store import ArtifactStore
+from repro.workloads import generator
 from repro.workloads.benchmarks import ALL_BENCHMARKS, BENCHMARK_NAMES, LayerSpec, get_benchmark, scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.synthetic import (
@@ -156,6 +162,193 @@ class TestWorkloadBuilder:
     def test_invalid_pe_count_rejected(self, tiny_spec):
         with pytest.raises(WorkloadError):
             WorkloadBuilder().build(tiny_spec, num_pes=0)
+
+    def test_caches_distinguish_seeds(self, tiny_spec):
+        # Two specs that differ only in seed must not share any cache entry.
+        other = replace(tiny_spec, seed=tiny_spec.seed + 1)
+        builder = WorkloadBuilder()
+        builder.build(tiny_spec, num_pes=4)
+        shared = builder.build(other, num_pes=4)
+        fresh = WorkloadBuilder().build(other, num_pes=4)
+        assert shared.total_entries == fresh.total_entries
+        assert np.array_equal(shared.work, fresh.work)
+        assert np.array_equal(shared.nonzero_columns, fresh.nonzero_columns)
+        assert np.array_equal(builder.pattern(other).row_indices,
+                              WorkloadBuilder().pattern(other).row_indices)
+        assert np.array_equal(builder.activations(other), WorkloadBuilder().activations(other))
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+#: ``(benchmark, scale, num_pes) -> (sha256 of work, padding_work,
+#: nonzero_columns, total_entries, total_padding)`` of a fresh build.
+GOLDEN_WORKLOADS = {
+    ("Alex-8", 8, 2): (
+        "b7e15c5a7f2db8bcd6eeb0f9f02a4e9a572fe96e4249550c6182ec9745d4906b",
+        "c7e0d86bcd5c3b35ec18bb0170f1c1bf0a455f4d15e8fa3a8b5dda2cac0c7e98",
+        "456e1974c4035951999d952d442455884cfaa4331da01dbb2721d20222064056",
+        16219, 104,
+    ),
+    ("Alex-8", 8, 5): (
+        "65f1e69b63d02b5483336cbf4727d5aa8f6ca811618d0169253d4922981d849f",
+        "4e427938fc53f9d46eecb9dc20c1a5ee6facfff3c6d66e93341eb0926d8a5dd1",
+        "456e1974c4035951999d952d442455884cfaa4331da01dbb2721d20222064056",
+        16175, 60,
+    ),
+    ("VGG-7", 16, 2): (
+        "be7188c8be2e68225ba8c0d88a017a95f39706914899c898e010593776d3c07a",
+        "55ab70e3d332132c8aad2c556ba3bb628a1da1d7836d69933af29230584dd2c0",
+        "a7e57b311f31ad0c837a21342b40b29964d8cb1b5b6da4e5356e13eaeef9f697",
+        4726, 2075,
+    ),
+    ("VGG-7", 16, 5): (
+        "dd48d51ae2b2b0b76960aa692966df27dde7b00b9fb165d4c01c3e528981ead1",
+        "3e72a1c7b3d6788503860fd2e8e1acdec642fb32aa170dd6f0ddbe96a507b25e",
+        "a7e57b311f31ad0c837a21342b40b29964d8cb1b5b6da4e5356e13eaeef9f697",
+        3888, 1237,
+    ),
+    ("NT-LSTM", 16, 2): (
+        "e286575b13c45d133e526f957fccce95bd4e70fb54fc671e912966651c646130",
+        "352505d2c79766f2d59876c8eda60460fc24b1b6455e04e1d639b18a56e4fd51",
+        "b2dcd08745a4691b93a2cee8346844f207b7e15388a91e0477dd86a849540459",
+        1284, 195,
+    ),
+    ("NT-LSTM", 16, 5): (
+        "e5fbd2ba41af271f38745ace030df1b30b8fd01828b3426fa4b8b39df7aba842",
+        "6b43465677282935bf1d46c2f8ef5054a1cadc79517f2ba59ba874dc2e1a0cd5",
+        "b2dcd08745a4691b93a2cee8346844f207b7e15388a91e0477dd86a849540459",
+        1197, 108,
+    ),
+}
+
+
+class TestGoldenWorkloads:
+    """Pins the content the ``workloads`` store kind serves.
+
+    Stored workloads are keyed by spec, PE count and
+    ``repro.workloads.generator.WORKLOAD_FORMAT``, not by the code that built
+    them.  If a change to ``generate_sparse_pattern``,
+    ``generate_activations`` or ``interleaved_entry_counts`` breaks this pin,
+    bump ``WORKLOAD_FORMAT`` together with the pin, or every existing store
+    keeps serving the old workloads.
+    """
+
+    @pytest.mark.parametrize("point", sorted(GOLDEN_WORKLOADS))
+    def test_fresh_build_matches_golden(self, point):
+        name, scale, num_pes = point
+        workload = WorkloadBuilder().build(get_benchmark(name).scaled(scale), num_pes)
+        arrays = (workload.work, workload.padding_work, workload.nonzero_columns)
+        assert all(array.dtype == np.int64 for array in arrays)
+        assert (
+            *(_sha256(array) for array in arrays),
+            workload.total_entries,
+            workload.total_padding,
+        ) == GOLDEN_WORKLOADS[point]
+        assert workload.true_nonzeros == workload.total_entries - workload.total_padding
+
+
+def _assert_same_workload(loaded, built) -> None:
+    for name in ("work", "padding_work", "nonzero_columns"):
+        assert getattr(loaded, name).dtype == np.int64
+        assert np.array_equal(getattr(loaded, name), getattr(built, name))
+    for name in ("num_pes", "total_entries", "total_padding", "true_nonzeros"):
+        assert getattr(loaded, name) == getattr(built, name)
+    assert loaded.spec == built.spec
+
+
+class TestWorkloadStore:
+    @pytest.fixture
+    def spec(self):
+        return get_benchmark("VGG-7").scaled(16)
+
+    def test_loaded_workload_equals_a_fresh_build(self, tmp_path, spec, monkeypatch):
+        built = WorkloadBuilder(store=ArtifactStore(tmp_path)).build(spec, 5)
+        assert len(ArtifactStore(tmp_path).entries("workloads")) == 1
+
+        def no_pattern(*args, **kwargs):
+            raise AssertionError("a stored workload must not regenerate its pattern")
+
+        monkeypatch.setattr(generator, "generate_sparse_pattern", no_pattern)
+        store = ArtifactStore(tmp_path)
+        loaded = WorkloadBuilder(store=store).build(spec, 5)
+        _assert_same_workload(loaded, built)
+        assert store.stats()["by_kind"]["workloads"]["hits"] == 1
+
+    def test_key_covers_seed_pe_count_and_max_run(self, tmp_path, spec):
+        store = ArtifactStore(tmp_path)
+        builder = WorkloadBuilder(store=store)
+        builder.build(spec, 5)
+        builder.build(spec, 2)
+        builder.build(replace(spec, seed=spec.seed + 1), 5)
+        WorkloadBuilder(max_run=7, store=store).build(spec, 5)
+        assert len(store.entries("workloads")) == 4
+        assert store.stats()["by_kind"]["workloads"]["hits"] == 0
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_entry_is_an_error_and_a_miss(self, tmp_path, spec, damage):
+        built = WorkloadBuilder(store=ArtifactStore(tmp_path)).build(spec, 2)
+        (path,) = ArtifactStore(tmp_path).entries("workloads")
+        data = bytearray(path.read_bytes())
+        if damage == "truncate":
+            data = data[: len(data) // 2]
+        else:
+            middle = len(data) // 2
+            data[middle:middle + 16] = bytes(value ^ 0xA5 for value in data[middle:middle + 16])
+        path.write_bytes(bytes(data))
+
+        store = ArtifactStore(tmp_path)
+        rebuilt = WorkloadBuilder(store=store).build(spec, 2)
+        counters = store.stats()["by_kind"]["workloads"]
+        assert (counters["errors"], counters["misses"], counters["hits"]) == (1, 1, 0)
+        assert counters["stores"] == 1  # recomputed and republished
+        _assert_same_workload(rebuilt, built)
+        reloaded = WorkloadBuilder(store=ArtifactStore(tmp_path)).build(spec, 2)
+        _assert_same_workload(reloaded, built)
+
+    def test_inconsistent_entry_is_rejected(self, tmp_path, spec):
+        store = ArtifactStore(tmp_path)
+        built = WorkloadBuilder(store=store).build(spec, 2)
+        (path,) = store.entries("workloads")
+        key = path.stem
+        # A readable entry whose arrays do not match its PE count.
+        store.store_arrays(
+            "workloads", key,
+            {"total_entries": 0, "total_padding": 0},
+            {"work": np.zeros((3, 1), dtype=np.int32),
+             "padding_work": np.zeros((3, 1), dtype=np.int32),
+             "nonzero_columns": np.zeros(1, dtype=np.int64)},
+        )
+        fresh = ArtifactStore(tmp_path)
+        _assert_same_workload(WorkloadBuilder(store=fresh).build(spec, 2), built)
+        assert fresh.stats()["by_kind"]["workloads"]["errors"] == 1
+
+    def test_process_workers_hit_the_shared_store(self, tmp_path):
+        layers = [get_benchmark("Alex-8").scaled(64), get_benchmark("NT-We").scaled(64)]
+        kwargs = dict(workloads=layers, grid={"num_pes": [2, 4]})
+        serial = ExperimentRunner(executor="serial").run("fig12_padding_zeros", **kwargs)
+        cold_store = ArtifactStore(tmp_path)
+        cold = ExperimentRunner(store=cold_store).run(
+            "fig12_padding_zeros", executor="processes", jobs=2, **kwargs
+        )
+        assert len(cold_store.entries("workloads")) == 4
+        assert cold_store.stats()["by_kind"]["workloads"]["stores"] == 4
+        warm_store = ArtifactStore(tmp_path)
+        warm = ExperimentRunner(store=warm_store).run(
+            "fig12_padding_zeros", executor="processes", jobs=2, **kwargs
+        )
+        counters = warm_store.stats()["by_kind"]["workloads"]
+        assert counters["hits"] == 4 and counters["stores"] == 0
+        assert cold.records == warm.records == serial.records
+
+    def test_no_store_writes_nothing(self, tmp_path, monkeypatch, spec):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        WorkloadBuilder().build(spec, 2)
+        ExperimentRunner(executor="serial").run(
+            "fig12_padding_zeros", workloads=[spec], grid={"num_pes": [2]}
+        )
+        assert not any(tmp_path.iterdir())
 
 
 class TestModelBuilders:
