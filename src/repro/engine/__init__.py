@@ -16,7 +16,6 @@ One seam in front of every EIE backend (see ``docs/ARCHITECTURE.md``):
 from repro.engine.adapters import (
     CycleEngine,
     FunctionalEngine,
-    NativeCycleEngine,
     RTLEngine,
 )
 from repro.engine.base import EngineResult, PreparedLayer, SimulationEngine
@@ -28,7 +27,6 @@ __all__ = [
     "EngineRegistry",
     "EngineResult",
     "FunctionalEngine",
-    "NativeCycleEngine",
     "PreparedLayer",
     "RTLEngine",
     "Session",

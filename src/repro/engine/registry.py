@@ -9,15 +9,13 @@ by name.
 
 The built-in backends are registered when :mod:`repro.engine` is imported:
 
-============ ==============================================================
-Key          Backend
-============ ==============================================================
-functional   bit-exact value simulation of the CCU and PE array
-cycle        broadcast/FIFO timing model (:mod:`repro.core.cycle_model`)
-cycle-native the same timing model on the JIT kernel tier
-             (:mod:`repro.kernels`; falls back to numpy when unusable)
-rtl          two-phase RTL micro-simulation (:mod:`repro.core.rtl` adapter)
-============ ==============================================================
+========== ================================================================
+Key        Backend
+========== ================================================================
+functional bit-exact value simulation of the CCU and PE array
+cycle      broadcast/FIFO timing model (:mod:`repro.core.cycle_model`)
+rtl        two-phase RTL micro-simulation (:mod:`repro.core.rtl` adapter)
+========== ================================================================
 """
 
 from __future__ import annotations

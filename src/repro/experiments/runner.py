@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.config import EIEConfig
 from repro.engine.session import Session
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError, ShardCoordinateError, WorkloadError
 from repro.experiments.registry import Experiment, ExperimentRegistry
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
@@ -46,7 +46,9 @@ __all__ = [
     "ExperimentContext",
     "ExperimentRunner",
     "assemble_result",
+    "point_records",
     "run_experiment",
+    "shard_ranges",
 ]
 
 #: Paper id recorded in every result's provenance.
@@ -117,19 +119,35 @@ class ExperimentContext:
             return self._memo[key]
 
 
-def _partition_indices(count: int, parts: int) -> list[range]:
-    """Split ``range(count)`` into ``parts`` contiguous, near-equal ranges.
+def shard_ranges(count: int, shard_count: int) -> list[range]:
+    """Split ``range(count)`` into exactly ``shard_count`` contiguous ranges.
 
+    Sizes differ by at most one, larger chunks first; when ``shard_count``
+    exceeds ``count`` the trailing ranges are empty.  Every invocation that
+    agrees on ``(count, shard_count)`` gets the identical partition.
     Contiguity matters: the point grid leads with the benchmark axis, so
-    contiguous chunks keep each worker on as few distinct layers as possible
-    (fewer compressions/preparations per process).
+    contiguous chunks keep each process-pool worker or shard on as few
+    distinct layers as possible (fewer compressions/preparations each).
     """
-    parts = max(1, min(parts, count))
-    base, extra = divmod(count, parts)
+    if shard_count < 1:
+        raise ShardCoordinateError(
+            f"shard count must be >= 1, got {shard_count}", shard_count=shard_count
+        )
+    base, extra = divmod(count, shard_count)
     bounds = [0]
-    for part in range(parts):
+    for part in range(shard_count):
         bounds.append(bounds[-1] + base + (1 if part < extra else 0))
-    return [range(bounds[i], bounds[i + 1]) for i in range(parts)]
+    return [range(bounds[i], bounds[i + 1]) for i in range(shard_count)]
+
+
+def point_records(
+    experiment: Experiment, context: "ExperimentContext", point: dict[str, Any]
+) -> list[dict[str, Any]]:
+    """Run one grid point and return its records, each prefixed by the point."""
+    outcome = experiment.run_point(context, point)
+    if isinstance(outcome, dict):
+        outcome = [outcome]
+    return [{**point, **record} for record in outcome]
 
 
 def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
@@ -138,13 +156,13 @@ def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
     Runs in a separate process, so all shared state is rebuilt from the
     picklable payload: the experiment is re-resolved from the registry
     (importing this module populates it), the spec is rehydrated from its
-    dictionary form, and the worker gets its own session/builder.  Cross-
-    process compression reuse flows through the on-disk artifact store named
-    by ``store_root`` — not through memory — which is what makes the process
-    backend scale the GIL-holding compression work; built workloads are
-    shared the same way.  Returns the per-point record lists in chunk order
-    (the parent reassembles them in spec order) and the worker store's
-    per-kind counters.
+    dictionary form, and the worker gets its own session and a builder with
+    the parent builder's ``max_run``.  Cross-process compression reuse flows
+    through the on-disk artifact store named by ``store_root`` — not through
+    memory — which is what makes the process backend scale the GIL-holding
+    compression work; built workloads are shared the same way.  Returns the
+    per-point record lists in chunk order (the parent reassembles them in
+    spec order) and the worker store's per-kind counters.
     """
     experiment = ExperimentRegistry.get(payload["experiment"])
     spec = ExperimentSpec.from_dict(payload["spec"])
@@ -157,16 +175,11 @@ def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
     context = ExperimentContext(
         experiment,
         spec,
-        WorkloadBuilder(store=store),
+        WorkloadBuilder(max_run=payload["max_run"], store=store),
         Session(store=store),
         layer_specs,
     )
-    chunk_records: list[list[dict]] = []
-    for point in payload["points"]:
-        outcome = experiment.run_point(context, point)
-        if isinstance(outcome, dict):
-            outcome = [outcome]
-        chunk_records.append([{**point, **record} for record in outcome])
+    chunk_records = [point_records(experiment, context, point) for point in payload["points"]]
     return chunk_records, store.stats()["by_kind"] if store is not None else {}
 
 
@@ -443,15 +456,12 @@ class ExperimentRunner:
         started = time.perf_counter()
 
         def run_one(point: dict[str, Any]) -> list[dict[str, Any]]:
-            outcome = experiment.run_point(context, point)
-            if isinstance(outcome, dict):
-                outcome = [outcome]
-            return [{**point, **record} for record in outcome]
+            return point_records(experiment, context, point)
 
         if executor == "serial" or jobs == 1 or len(points) <= 1:
             per_point = [run_one(point) for point in points]
         elif executor == "processes":
-            chunks = _partition_indices(len(points), jobs)
+            chunks = shard_ranges(len(points), min(jobs, len(points)))
             store = self._shared_store
             payloads = [
                 {
@@ -460,6 +470,7 @@ class ExperimentRunner:
                     "layer_specs": list(layer_specs.values()),
                     "points": [points[index] for index in chunk],
                     "store_root": str(store.root) if store is not None else None,
+                    "max_run": self.builder.max_run,
                 }
                 for chunk in chunks
             ]

@@ -5,9 +5,10 @@ count: it re-resolves the experiment exactly like
 :meth:`~repro.experiments.runner.ExperimentRunner.resolve` (same workload
 resolution, same grid expansion, same point order) and splits the point list
 into ``shard_count`` contiguous chunks in spec order — the same chunking
-discipline the process executor uses, so each shard touches as few distinct
-layers as possible.  Unlike the process executor's partitioner, the shard
-count is **not** clamped to the point count: a plan is addressed by
+discipline the process executor uses (both call
+:func:`~repro.experiments.runner.shard_ranges`), so each shard touches as few
+distinct layers as possible.  Unlike the process executor, a plan does **not**
+clamp the shard count to the point count: a plan is addressed by
 ``(shard_id, shard_count)`` from independent invocations that must all agree
 on the partition, so ``shard_count > len(points)`` simply yields empty
 trailing shards.
@@ -20,7 +21,7 @@ from typing import Any, Sequence
 
 from repro.errors import ShardCoordinateError
 from repro.experiments.registry import Experiment
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, shard_ranges
 from repro.experiments.spec import ExperimentSpec
 from repro.store.artifacts import ArtifactStore
 from repro.workloads.benchmarks import LayerSpec
@@ -49,24 +50,6 @@ def validate_coords(shard_id: int, shard_count: int) -> None:
             shard_id=shard_id,
             shard_count=shard_count,
         )
-
-
-def shard_ranges(count: int, shard_count: int) -> list[range]:
-    """Split ``range(count)`` into exactly ``shard_count`` contiguous ranges.
-
-    Sizes differ by at most one, larger chunks first; when ``shard_count``
-    exceeds ``count`` the trailing ranges are empty.  Every invocation that
-    agrees on ``(count, shard_count)`` gets the identical partition.
-    """
-    if shard_count < 1:
-        raise ShardCoordinateError(
-            f"shard count must be >= 1, got {shard_count}", shard_count=shard_count
-        )
-    base, extra = divmod(count, shard_count)
-    bounds = [0]
-    for part in range(shard_count):
-        bounds.append(bounds[-1] + base + (1 if part < extra else 0))
-    return [range(bounds[i], bounds[i + 1]) for i in range(shard_count)]
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, point_records
 from repro.experiments.spec import _jsonable
 from repro.shard.plan import SHARD_FORMAT, ShardPlan, validate_coords
 from repro.store.artifacts import ArtifactStore
@@ -77,16 +77,14 @@ def run_shard(
             }
     runner = runner or ExperimentRunner(store=store)
     context = runner.context_for(plan.experiment, plan.spec, plan.layer_specs)
-    per_point: list[list[dict[str, Any]]] = []
     # Pin every shard of the plan (not just this one) for the duration: a
     # size-budgeted store under concurrent-writer pressure must not evict a
     # sibling's already-published partial while the sweep is in flight.
     with store.pinned(f"shard-{key[:16]}", plan.entry_paths(store)):
-        for point in plan.points_for(shard_id):
-            outcome = plan.experiment.run_point(context, point)
-            if isinstance(outcome, dict):
-                outcome = [outcome]
-            per_point.append([{**point, **record} for record in outcome])
+        per_point = [
+            point_records(plan.experiment, context, point)
+            for point in plan.points_for(shard_id)
+        ]
         store.store_json("shards", key, shard_payload(plan, shard_id, per_point))
     return {
         "key": key,

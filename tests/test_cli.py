@@ -192,6 +192,15 @@ class TestStaticCommands:
         out = capsys.readouterr().out
         assert "int16" in out and "int8" in out
 
+    def test_engine_list_names_every_registered_engine(self, capsys):
+        from repro.engine import EngineRegistry
+
+        assert main(["engine", "list"]) == 0
+        out = capsys.readouterr().out
+        for name in EngineRegistry.names():
+            assert name in out
+        assert "Broadcast/FIFO timing model" in out
+
     def test_codebook_ablation(self, capsys):
         assert main(["ablation", "codebook-bits"]) == 0
         assert "RMS error" in capsys.readouterr().out

@@ -11,7 +11,6 @@ from repro.engine import (
     CycleEngine,
     EngineRegistry,
     FunctionalEngine,
-    NativeCycleEngine,
     RTLEngine,
     Session,
     SimulationEngine,
@@ -22,10 +21,9 @@ from repro.errors import ConfigurationError, SimulationError
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert EngineRegistry.names() == ("cycle", "cycle-native", "functional", "rtl")
+        assert EngineRegistry.names() == ("cycle", "functional", "rtl")
         assert EngineRegistry.get("functional") is FunctionalEngine
         assert EngineRegistry.get("cycle") is CycleEngine
-        assert EngineRegistry.get("cycle-native") is NativeCycleEngine
         assert EngineRegistry.get("rtl") is RTLEngine
 
     def test_create_binds_config(self):

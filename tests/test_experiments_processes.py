@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentRunner, run_experiment
-from repro.experiments.runner import EXECUTORS, _partition_indices
+from repro.experiments.runner import EXECUTORS, shard_ranges
 from repro.store import ArtifactStore
 from repro.workloads.benchmarks import scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
@@ -29,16 +29,18 @@ def subset():
 
 
 class TestPartitioning:
+    """The process executor's chunks: ``shard_ranges`` clamped to the point count."""
+
     def test_contiguous_cover_without_overlap(self):
         for count in (1, 2, 5, 8, 13):
             for parts in (1, 2, 3, 4, 16):
-                chunks = _partition_indices(count, parts)
+                chunks = shard_ranges(count, min(parts, count))
                 flat = [index for chunk in chunks for index in chunk]
                 assert flat == list(range(count))
                 assert len(chunks) == min(parts, count)
 
     def test_near_equal_sizes(self):
-        sizes = [len(chunk) for chunk in _partition_indices(10, 4)]
+        sizes = [len(chunk) for chunk in shard_ranges(10, 4)]
         assert sizes == [3, 3, 2, 2]
 
 
@@ -112,6 +114,18 @@ class TestProcessParity:
         processes = runner.run(
             "fig6_speedup", executor="processes", jobs=2, workloads=subset,
             config={"num_pes": 16},
+        )
+        assert processes.records == serial.records
+
+
+class TestInjectedBuilder:
+    def test_workers_use_the_injected_builders_max_run(self, subset):
+        # A 3-zero run limit pads far more than the default 15; process
+        # workers must build with it too, not with the default.
+        runner = ExperimentRunner(builder=WorkloadBuilder(max_run=3), jobs=2)
+        serial = runner.run("fig12_padding_zeros", executor="serial", workloads=subset)
+        processes = runner.run(
+            "fig12_padding_zeros", executor="processes", workloads=subset
         )
         assert processes.records == serial.records
 

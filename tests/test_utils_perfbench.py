@@ -59,6 +59,10 @@ class TestMergeResults:
         data = json.loads(path.read_text())
         assert data["entries"]["quick/encode"]["seconds"] == 0.25
         assert data["entries"]["paper/encode"]["seconds"] == 0.1
+        # Every entry records the machine it was measured on.
+        entry = data["entries"]["quick/encode"]
+        assert entry["cpu_count"] >= 1
+        assert "machine" in entry
 
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bench.json"
