@@ -59,6 +59,10 @@ class TestMergeResults:
         data = json.loads(path.read_text())
         assert data["entries"]["quick/encode"]["seconds"] == 0.25
         assert data["entries"]["paper/encode"]["seconds"] == 0.1
+
+    def test_entry_metadata_records_environment(self, tmp_path):
+        path = tmp_path / "bench.json"
+        data = merge_results(path, [_result("encode", 0.01)], mode="quick")
         # Every entry records the machine it was measured on.
         entry = data["entries"]["quick/encode"]
         assert entry["cpu_count"] >= 1
